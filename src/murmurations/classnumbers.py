@@ -140,11 +140,15 @@ class HurwitzTable:
     """H_1(-d) for dmin <= d <= dmax, exact rationals.
 
     values[d - dmin] = H_1(-d); entries vanish at -d = 2, 3 mod 4.
+    h_cache holds the weighted h(-m) that the trace formula reconstructs
+    from this table, so no other table or route shares them.
     """
 
     dmin: int
     dmax: int
     values: list[Fraction]
+    h_cache: dict[int, Fraction] = field(default_factory=dict, repr=False,
+                                         compare=False)
 
     def __getitem__(self, d: int) -> Fraction:
         if not (self.dmin <= d <= self.dmax):
@@ -241,22 +245,33 @@ def save_table(table: HurwitzTable, path: str | os.PathLike) -> None:
 
 
 def load_table(path: str | os.PathLike) -> HurwitzTable:
-    """Inverse of save_table; bit-exact round trip."""
+    """Inverse of save_table; bit-exact round trip.
+
+    A wrong magic, an unknown version, or a truncated or inconsistent
+    payload raises ValueError.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != _MAGIC:
             raise ValueError("not a class-number table file")
-        version, dmin, dmax = struct.unpack("<IQQ", fh.read(20))
-        if version != _VERSION:
-            raise ValueError(f"unsupported table version {version}")
-        n = dmax - dmin + 1
-        vals: list[Fraction] = []
-        while len(vals) < n:
-            num, den = struct.unpack("<qQ", fh.read(16))
-            if num == 0:
-                vals.extend([Fraction(0)] * den)
-            else:
-                vals.append(Fraction(num, den))
+        try:
+            version, dmin, dmax = struct.unpack("<IQQ", fh.read(20))
+            if version != _VERSION:
+                raise ValueError(f"unsupported table version {version}")
+            n = dmax - dmin + 1
+            vals: list[Fraction] = []
+            while len(vals) < n:
+                num, den = struct.unpack("<qQ", fh.read(16))
+                if num == 0:
+                    if den > n - len(vals):
+                        break  # a zero run past dmax
+                    vals.extend([Fraction(0)] * den)
+                else:
+                    vals.append(Fraction(num, den))
+        # struct.error: the file ends inside a record; ZeroDivisionError:
+        # a zero denominator
+        except (struct.error, ZeroDivisionError) as exc:
+            raise ValueError("corrupt table payload") from exc
         if len(vals) != n:
             raise ValueError("corrupt table payload")
     return HurwitzTable(dmin=dmin, dmax=dmax, values=vals)
@@ -390,24 +405,81 @@ def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
     return int(h)
 
 
-def _chi_table(d0: int, n0: int, sieve: FactorSieve):
-    """chi_{d0}(n) for n = 1..n0 as a float array, built multiplicatively.
+# Composites 4 <= n <= extent grouped by Omega(n) (prime factors counted
+# with multiplicity): one triple of int32 arrays (n, spf n, n / spf n), n
+# ascending, per Omega = 2, 3, ...  The grouping depends on n alone, so one
+# module-level copy serves every sieve.
+_omega_layers: tuple[int, list] = (1, [])
 
-    chi is evaluated by reciprocity only at primes; composite entries come
-    from complete multiplicativity via the smallest-prime-factor sieve.
+
+def _composite_layers(n0: int, spf):
+    """The cached Omega layers cut to n <= n0.
+
+    The cache is rebuilt only when n0 outgrows it, rounded up to a power
+    of two (at most the sieve's reach, len(spf) - 1) so that a slowly
+    growing n0 does not rebuild it on every call.
+    """
+    global _omega_layers
+    extent, layers = _omega_layers
+    if n0 > extent:
+        extent = min(1 << (n0 - 1).bit_length(), len(spf) - 1)
+        spf = spf[:extent + 1].astype(_np.int32)  # a copy, int32 like n
+        n = _np.arange(extent + 1, dtype=_np.int32)
+        omega = _np.zeros(extent + 1, dtype=_np.int8)
+        rest = n.copy()
+        rest[:2] = 1
+        while True:
+            left = rest > 1
+            if not left.any():
+                break
+            omega += left
+            rest //= spf[rest]
+        layers = []
+        for k in range(2, int(omega.max()) + 1):
+            nk = n[omega == k]
+            pk = spf[nk]
+            layers.append((nk, pk, nk // pk))
+        _omega_layers = (extent, layers)
+    cut = []
+    for nk, pk, mk in layers:
+        i = _np.searchsorted(nk, n0, side="right")
+        cut.append((nk[:i], pk[:i], mk[:i]))
+    return cut
+
+
+def _chi_table(d0: int, n0: int, sieve: FactorSieve):
+    """chi_{d0}(n) = (d0|n) for n = 1..n0 as a float array of -1, 0, +1.
+
+    Within the sieve range the table is array code: odd primes take
+    Euler's criterion (d0|p) = d0^((p-1)/2) mod p, vectorized over the
+    primes, p = 2 takes kronecker, and composites follow by complete
+    multiplicativity, chi(n) = chi(spf n) chi(n / spf n), one Omega(n)
+    layer at a time so each entry is written once.  Beyond the sieve range
+    every entry is a reciprocity call.
     """
     if n0 <= sieve.limit:
-        spf = sieve.spf
-        chi = _np.empty(n0 + 1, dtype=_np.float64)
-        chi[0] = 0.0
-        if n0 >= 1:
-            chi[1] = 1.0
-        for n in range(2, n0 + 1):
-            p = spf[n]
-            if p == n:
-                chi[n] = kronecker(d0, n)
-            else:
-                chi[n] = chi[p] * chi[n // p]
+        # p^2 must fit in int64 for the vectorized modular products
+        assert sieve.limit < 3 * 10 ** 9
+        spf = _np.frombuffer(sieve.spf, dtype=_np.int64)
+        chi = _np.zeros(n0 + 1, dtype=_np.float64)
+        chi[1:2] = 1.0  # chi(1), present when n0 >= 1
+        if n0 >= 2:
+            chi[2] = kronecker(d0, 2)
+        n = _np.arange(3, n0 + 1, 2, dtype=_np.int64)
+        odd = n[spf[n] == n]
+        if -2 ** 62 < d0 < 2 ** 62:
+            a = _np.int64(d0) % odd
+        else:
+            a = _np.array([d0 % p for p in odd.tolist()], dtype=_np.int64)
+        e = (odd - 1) >> 1
+        r = _np.ones_like(odd)
+        while e.any():
+            r = _np.where(e & 1, r * a % odd, r)
+            a = a * a % odd
+            e >>= 1
+        chi[odd] = _np.where(r == 1, 1.0, _np.where(r == 0, 0.0, -1.0))
+        for nk, pk, mk in _composite_layers(n0, spf):
+            chi[nk] = chi[pk] * chi[mk]
         return chi[1:]
     return _np.array([kronecker(d0, n) for n in range(1, n0 + 1)],
                      dtype=_np.float64)

@@ -3,7 +3,8 @@
 Every subcommand writes deterministic CSV (fixed summation orders, shortest
 round-trip float formatting), so identical flags and cache state reproduce
 byte-identical output.  SVG emission is a pure view over the CSV data.
-Exit codes: 0 success / verdict pass, 1 verdict failure, 2 usage error.
+Exit codes: 0 success / verdict pass, 1 verdict failure, 2 usage error or
+bad input (invalid arguments, an unreadable or corrupt cache file).
 """
 
 from __future__ import annotations
@@ -102,10 +103,12 @@ def _load_table_if_covering(path: str | None, need: int):
     if not path:
         return None
     table = load_table(path)
-    if table.dmax >= need:
+    # Moebius reconstruction reads quotients down to d = 3
+    if table.dmin <= 3 and table.dmax >= need:
         return table
-    print(f"note: cache {path} covers d <= {table.dmax} < {need}; "
-          "falling back to per-value computation", file=sys.stderr)
+    print(f"note: cache {path} covers [{table.dmin}, {table.dmax}], not "
+          f"[3, {need}]; falling back to per-value computation",
+          file=sys.stderr)
     return None
 
 
@@ -226,9 +229,10 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
                 for P in (7, 11):
                     try:
                         closed = phi_circ(r, d, g, P, sieve)
+                        brute = phi_circ_bruteforce(r, d, g, P, sieve)
                     except ValueError:
-                        continue
-                    good = closed == phi_circ_bruteforce(r, d, g, P, sieve)
+                        continue  # the defining sum needs P coprime to d
+                    good = closed == brute
                     phi_ok &= good
                     if not good:
                         rows.append(["phi_circ", r, d, g, "fail"])
@@ -329,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(args.func(args))
     except SystemExit as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except (ValueError, LookupError, OSError) as exc:
+        print(f"murmur {args.subcommand}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -80,6 +80,9 @@ class TraceReport:
 # Per-level trace
 # ---------------------------------------------------------------------------
 
+# Weighted h(-m) from the direct route, shared by every average in the
+# process.  Values reconstructed from a table are cached on that table
+# (HurwitzTable.h_cache), so the two routes never read each other's values.
 _h_cache: dict[int, Fraction] = {}
 
 
@@ -93,15 +96,18 @@ def _class_number(m: int, sieve: FactorSieve,
     """
     if m % 4 in (1, 2):
         return Fraction(0)
-    got = _h_cache.get(m)
+    cache = _h_cache if table is None else table.h_cache
+    got = cache.get(m)
     if got is not None:
         return got
-    if table is not None:
+    if table is None:
+        val = gauss_h_weighted(m, sieve, certified_above=10 ** 6)
+    else:
         if m > table.dmax or m < table.dmin:
             raise LookupError(
                 f"class-number table [{table.dmin}, {table.dmax}] "
                 f"does not cover discriminant -{m}")
-        total = Fraction(0)
+        val = Fraction(0)
         f = 1
         while f * f <= m:
             if m % (f * f) == 0:
@@ -110,12 +116,9 @@ def _class_number(m: int, sieve: FactorSieve,
                 if q % 4 not in (1, 2):
                     mu = sieve.mu(f)
                     if mu:
-                        total += mu * table[q]
+                        val += mu * table[q]
             f += 1
-        _h_cache[m] = total
-        return total
-    val = gauss_h_weighted(m, sieve, certified_above=10 ** 6)
-    _h_cache[m] = val
+    cache[m] = val
     return val
 
 

@@ -2,14 +2,17 @@
 reconstruction, serialization, and the certified analytic route."""
 
 import math
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations.arith import build_sieve
+from murmurations.arith import build_sieve, kronecker
 from murmurations.classnumbers import (HurwitzTable, LTruncationPolicy,
+                                       _chi_table,
                                        class_number_via_L,
                                        fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
@@ -93,6 +96,22 @@ def test_table_rejects_bad_magic(tmp_path):
         load_table(path)
 
 
+def test_table_truncated_payload_rejected(tmp_path):
+    path = tmp_path / "h.murh1"
+    save_table(hurwitz_sieve(3, 500), path)
+    data = path.read_bytes()
+    for cut in (10, 30, len(data) - 7, len(data) - 16):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="corrupt table payload"):
+            load_table(path)
+    # a zero run past dmax, and a zero denominator
+    header = b"MURH1" + struct.pack("<IQQ", 1, 3, 10)
+    for record in (struct.pack("<qQ", 0, 2 ** 60), struct.pack("<qQ", 1, 0)):
+        path.write_bytes(header + record)
+        with pytest.raises(ValueError, match="corrupt table payload"):
+            load_table(path)
+
+
 def test_fundamental_decomposition():
     for d in _valid_ds(3, 3000):
         d0, f = fundamental_decomposition(d, SIEVE)
@@ -114,6 +133,35 @@ def test_certified_large_fundamental():
     assert gauss_h_certified(163, SIEVE) == 1
     assert gauss_h_certified(120004, SIEVE) == gauss_h_bruteforce(120004,
                                                                  SIEVE)
+
+
+@pytest.mark.parametrize("d", [1000003,        # fundamental, 1 mod 4
+                               4000004,        # fundamental -4 * 1000001
+                               8000024,        # fundamental -8 * 1000003
+                               11111103,       # -1234567 * 3^2
+                               17993996,       # -4498499 * 2^2
+                               19999999])
+def test_certified_matches_bruteforce_desk_scale(d):
+    assert gauss_h_certified(d, SIEVE) == gauss_h_bruteforce(d, SIEVE)
+
+
+# d0 = 1 and 0 mod 4, fundamental and not (-63 = -7 * 3^2, -28 = -7 * 2^2,
+# -48 = -3 * 4^2), up to the desk-scale size -4 * 1499 * 3001, and one
+# beyond int64.
+CHI_D0 = (-3, -4, -7, -8, -20, -163, -63, -28, -48, -4000004, -11111103,
+          -17993996, -(2 ** 70 + 3))
+
+
+@pytest.mark.parametrize("d0", CHI_D0)
+def test_chi_table_matches_kronecker(d0):
+    small = build_sieve(1000)
+    cases = [(n0, SIEVE) for n0 in (1, 2, 3, 97, 10007, 100003)]
+    cases.append((1500, small))  # beyond the sieve: reciprocity route
+    for n0, sieve in cases:
+        want = [kronecker(d0, n) for n in range(1, n0 + 1)]
+        got = _chi_table(d0, n0, sieve)
+        assert got.dtype == np.float64 and len(got) == n0
+        assert got.tolist() == want, (d0, n0)
 
 
 def test_class_number_via_L_policy():

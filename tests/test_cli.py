@@ -93,6 +93,47 @@ def test_verify_multfns_small(tmp_path):
     assert "pass" in res.stdout
 
 
+def test_verify_multfns_skips_P_dividing_d(tmp_path):
+    # d = 7 meets P = 7, where the brute-force sum is undefined
+    res = run(["verify-multfns", "--rmax", "3", "--mmax", "30",
+               "--dmax", "7", "--gmax", "50"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "phi_circ,7,7,50,pass" in res.stdout.splitlines()
+
+
+def test_truncated_cache_exits_2(tmp_path):
+    cache = tmp_path / "h.murh1"
+    assert run(["sieve-classnumbers", "--dmax", "3000",
+                "--hurwitz-cache", str(cache)], tmp_path).returncode == 0
+    cache.write_bytes(cache.read_bytes()[:-7])
+    res = run(["trace-average", "--X", "10", "--Y", "4", "--P", "7",
+               "--k", "2", "--hurwitz-cache", str(cache)], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [
+        "murmur trace-average: corrupt table payload"]
+
+
+def test_missing_cache_exits_2(tmp_path):
+    res = run(["trace-average", "--X", "10", "--Y", "4", "--P", "7",
+               "--k", "2", "--hurwitz-cache", str(tmp_path / "none")],
+              tmp_path)
+    assert res.returncode == 2
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
+def test_cache_above_dmin_3_falls_back(tmp_path):
+    cache = tmp_path / "h.murh1"
+    assert run(["sieve-classnumbers", "--dmin", "100", "--dmax", "3000",
+                "--hurwitz-cache", str(cache)], tmp_path).returncode == 0
+    args = ["trace-average", "--X", "10", "--Y", "4", "--P", "7", "--k", "2"]
+    plain = run(args, tmp_path)
+    cached = run(args + ["--hurwitz-cache", str(cache)], tmp_path)
+    assert cached.returncode == 0
+    assert cached.stdout == plain.stdout
+    assert "falling back" in cached.stderr
+
+
 def test_signcheck_small_cutoff(tmp_path):
     res = run(["signcheck", "--S", "40000", "--skip-probe",
                "--report", str(tmp_path / "r.csv")], tmp_path)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import build_sieve, is_prime
-from murmurations.classnumbers import hurwitz_sieve
+from murmurations.classnumbers import HurwitzTable, hurwitz_sieve
 from murmurations.density import DensityConfig, murmuration_density
 from murmurations.traceformula import (TraceParams, _square_divisors,
                                        dimension_main, dyadic_average,
@@ -58,6 +58,19 @@ def test_table_route_matches_direct():
                                     sieve=SIEVE)
             direct = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
             assert with_table == direct
+
+
+def test_corrupted_table_is_caught():
+    # The direct route runs first, so a cache shared between the routes
+    # would hand the corrupted table's lookups the direct values.
+    table = hurwitz_sieve(3, 4 * 97 * 30 + 10)
+    bad = HurwitzTable(table.dmin, table.dmax, [v + 7 for v in table.values])
+    for N, P in ((1, 5), (13, 7), (30, 97)):
+        direct = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
+        assert trace_TpWN(_params(N, P, 2), table=table,
+                          sieve=SIEVE) == direct
+        assert trace_TpWN(_params(N, P, 2), table=bad,
+                          sieve=SIEVE) != direct
 
 
 def test_table_out_of_range_raises():
