@@ -11,8 +11,8 @@ import argparse
 import time
 
 from murmurations.arith import build_sieve, is_prime
-from murmurations.density import DensityConfig, murmuration_density
-from murmurations.traceformula import interval_average
+from murmurations.density import DensityConfig
+from murmurations.traceformula import interval_average, window_density
 
 
 def nearest_prime(x: int) -> int:
@@ -21,16 +21,6 @@ def nearest_prime(x: int) -> int:
             if cand > 2 and is_prime(cand):
                 return cand
     raise ValueError(x)
-
-
-def window_density(cfg, P, X, Y, sieve):
-    num = den = 0.0
-    for N in range(X, X + Y + 1):
-        if N % P and sieve.is_squarefree(N):
-            w = float(sieve.euler_phi(N))
-            num += w * murmuration_density(cfg, P / N)
-            den += w
-    return num / den
 
 
 def main() -> None:

@@ -184,12 +184,6 @@ class FactorSieve:
     def is_squarefree(self, n: int) -> bool:
         return all(e == 1 for _, e in self.factor(n))
 
-    def radical(self, n: int) -> int:
-        result = 1
-        for p, _ in self.factor(n):
-            result *= p
-        return result
-
     def eta(self, m: int) -> Fraction:
         """eta(m) = m/psi(m) = prod_{p | m} p/(p+1); depends only on rad(m)."""
         result = Fraction(1)

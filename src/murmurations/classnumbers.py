@@ -12,6 +12,10 @@ Conventions: ``gauss_h(d)`` counts primitive reduced forms of discriminant
 -d (so h(-3) = h(-4) = 1); the weighted variant used by the trace divides
 by the extra automorphisms at -3 and -4 (1/3 and 1/2).  ``hurwitz_H1``
 counts all reduced forms, primitive or not, with those same weights.
+
+The batch tabulation stores 6 H_1(-d), always an integer, as an int32
+array; its cache file (MURH1 version 2) is a fixed header followed by
+that array's raw bytes.
 """
 
 from __future__ import annotations
@@ -22,13 +26,10 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import FactorSieve, kronecker
+import numpy as _np
+from scipy.special import erfc as _erfc
 
-try:
-    import numpy as _np
-    from scipy.special import erfc as _erfc
-except ImportError:  # pragma: no cover - both are hard dependencies in practice
-    _np = None
+from .arith import FactorSieve, kronecker
 
 
 # ---------------------------------------------------------------------------
@@ -135,80 +136,62 @@ def gauss_h_weighted(d: int, sieve: FactorSieve,
 # Batch tabulation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HurwitzTable:
-    """H_1(-d) for dmin <= d <= dmax, exact rationals.
+# 6 H_1(-d) is an integer: the only non-integral weights are 1/2 and 1/3.
+_DTYPE = _np.dtype("<i4")
 
-    values[d - dmin] = H_1(-d); entries vanish at -d = 2, 3 mod 4.
-    h_cache holds the weighted h(-m) that the trace formula reconstructs
-    from this table, so no other table or route shares them.
+
+@dataclass(eq=False)
+class HurwitzTable:
+    """H_1(-d) for dmin <= d <= dmax, stored as the integers 6 H_1(-d).
+
+    six[d - dmin] = 6 H_1(-d), a little-endian int32 array; entries vanish
+    at -d = 2, 3 mod 4.  h_cache holds the weighted h(-m) that the trace
+    formula reconstructs from this table, so no other table or route
+    shares them.  Tables compare by identity: == on the array is
+    elementwise.
     """
 
     dmin: int
     dmax: int
-    values: list[Fraction]
-    h_cache: dict[int, Fraction] = field(default_factory=dict, repr=False,
-                                         compare=False)
+    six: _np.ndarray
+    h_cache: dict[int, Fraction] = field(default_factory=dict, repr=False)
 
     def __getitem__(self, d: int) -> Fraction:
         if not (self.dmin <= d <= self.dmax):
             raise IndexError(f"d={d} outside table range [{self.dmin}, {self.dmax}]")
-        return self.values[d - self.dmin]
+        return Fraction(int(self.six[d - self.dmin]), 6)
 
 
 def hurwitz_sieve(dmin: int, dmax: int) -> HurwitzTable:
     """Tabulate H_1(-d) on [dmin, dmax] by global reduced-form enumeration.
 
     Runs over all (a, b, c) with |b| <= a <= c and 0 < 4ac - b^2 <= dmax,
-    so each entry independently equals the per-value hurwitz_H1.
+    so each entry independently equals the per-value hurwitz_H1.  For
+    fixed (b, a) the discriminants 4ac - b^2 step by 4a in c, so each pair
+    is one strided add.
     """
     if dmin < 1 or dmax < dmin:
         raise ValueError("need 1 <= dmin <= dmax")
-    n = dmax - dmin + 1
-    ints = [0] * n       # weight-1 and weight-2 contributions, doubled
-    off = dmin
-    # Accumulate twice the integer weight, then fix up 1/2 and 1/3 classes.
+    six = _np.zeros(dmax - dmin + 1, dtype=_DTYPE)
     for b in range(0, math.isqrt(dmax // 3) + 1):
         b2 = b * b
-        amin = max(b, 1)
         # 4ac - b^2 <= dmax and c >= a  ->  a <= sqrt((dmax + b^2)) / 2
-        amax = math.isqrt(dmax + b2) // 2
-        for a in range(amin, amax + 1):
+        for a in range(max(b, 1), math.isqrt(dmax + b2) // 2 + 1):
             a4 = 4 * a
-            cmin = a
-            d0 = a4 * cmin - b2
-            if d0 < dmin:
-                cmin += (dmin - d0 + a4 - 1) // a4
-            cmax = (dmax + b2) // a4
-            if cmin > cmax:
+            d = a4 * a - b2                    # c = a
+            if d < dmin:
+                d += (dmin - d + a4 - 1) // a4 * a4
+            elif 0 < b < a:
+                six[d - dmin] -= 6             # a = c keeps only b >= 0
+            if d > dmax:
                 continue
-            d = a4 * cmin - b2
-            if b == 0 or b == a:
-                w = 2
-            else:
-                w = 4  # both signs of b reduced when 0 < b < a < c
-            for c in range(cmin, cmax + 1):
-                if b < a and c == a:
-                    ints[d - off] += 2  # a = c keeps only b >= 0
-                else:
-                    ints[d - off] += w
-                d += a4
-    # b = a = c forms were added with w = 2 but weigh 1/3; a = c, b = 0
-    # forms were added with 2 but weigh 1/2.
-    for t in range(1, math.isqrt(dmax // 3) + 1):
-        d = 3 * t * t
-        if dmin <= d <= dmax:
-            ints[d - off] -= 2
-    vals = [Fraction(x, 2) for x in ints]
-    for t in range(1, math.isqrt(dmax // 4) + 1):
-        d = 4 * t * t
-        if dmin <= d <= dmax:
-            vals[d - off] -= Fraction(1, 2)
-    for t in range(1, math.isqrt(dmax // 3) + 1):
-        d = 3 * t * t
-        if dmin <= d <= dmax:
-            vals[d - off] += Fraction(1, 3)
-    return HurwitzTable(dmin=dmin, dmax=dmax, values=vals)
+            # weight 1 at b = 0 or b = a, else both signs of b are reduced
+            six[d - dmin::a4] += 6 if b == 0 or b == a else 12
+    # (t, t, t) weighs 1/3 and (t, 0, t) weighs 1/2, not 1
+    t = _np.arange(1, math.isqrt(dmax // 3) + 1, dtype=_np.int64)
+    for d, fix in ((3 * t * t, 4), (4 * t * t, 3)):
+        six[d[(d >= dmin) & (d <= dmax)] - dmin] -= fix
+    return HurwitzTable(dmin=dmin, dmax=dmax, six=six)
 
 
 # ---------------------------------------------------------------------------
@@ -216,65 +199,42 @@ def hurwitz_sieve(dmin: int, dmax: int) -> HurwitzTable:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"MURH1"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<IQQ")
 
 
 def save_table(table: HurwitzTable, path: str | os.PathLike) -> None:
-    """Serialize a table: magic, u32 version, u64 dmin/dmax, then entries.
-
-    Entries are run-length encoded: a zero-run marker (0, run_length)
-    or a (numerator, denominator) pair, all as signed/unsigned varints
-    packed with struct; three of every four residues vanish, so zero runs
-    dominate.
-    """
+    """Serialize a table: magic, u32 version, u64 dmin/dmax, then the
+    dmax - dmin + 1 little-endian int32 values 6 H_1(-d)."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQ", _VERSION, table.dmin, table.dmax))
-        i, vals, n = 0, table.values, len(table.values)
-        while i < n:
-            v = vals[i]
-            if v == 0:
-                j = i
-                while j < n and vals[j] == 0:
-                    j += 1
-                fh.write(struct.pack("<qQ", 0, j - i))
-                i = j
-            else:
-                fh.write(struct.pack("<qQ", v.numerator, v.denominator))
-                i += 1
+        fh.write(_HEADER.pack(_VERSION, table.dmin, table.dmax))
+        fh.write(table.six.astype(_DTYPE, copy=False).tobytes())
 
 
 def load_table(path: str | os.PathLike) -> HurwitzTable:
     """Inverse of save_table; bit-exact round trip.
 
-    A wrong magic, an unknown version, or a truncated or inconsistent
-    payload raises ValueError.
+    A wrong magic, an old or unknown version, or a payload that is not
+    exactly dmax - dmin + 1 int32 values raises ValueError.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(5)
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ValueError("not a class-number table file")
-        try:
-            version, dmin, dmax = struct.unpack("<IQQ", fh.read(20))
-            if version != _VERSION:
-                raise ValueError(f"unsupported table version {version}")
-            n = dmax - dmin + 1
-            vals: list[Fraction] = []
-            while len(vals) < n:
-                num, den = struct.unpack("<qQ", fh.read(16))
-                if num == 0:
-                    if den > n - len(vals):
-                        break  # a zero run past dmax
-                    vals.extend([Fraction(0)] * den)
-                else:
-                    vals.append(Fraction(num, den))
-        # struct.error: the file ends inside a record; ZeroDivisionError:
-        # a zero denominator
-        except (struct.error, ZeroDivisionError) as exc:
-            raise ValueError("corrupt table payload") from exc
-        if len(vals) != n:
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
             raise ValueError("corrupt table payload")
-    return HurwitzTable(dmin=dmin, dmax=dmax, values=vals)
+        version, dmin, dmax = _HEADER.unpack(header)
+        if version == 1:
+            raise ValueError("class-number table is version 1 (run-length "
+                             "format); rerun `murmur sieve-classnumbers`")
+        if version != _VERSION:
+            raise ValueError(f"unsupported table version {version}")
+        payload = fh.read()
+    if dmax < dmin or len(payload) != (dmax - dmin + 1) * _DTYPE.itemsize:
+        raise ValueError("corrupt table payload")
+    return HurwitzTable(dmin=dmin, dmax=dmax,
+                        six=_np.frombuffer(payload, dtype=_DTYPE))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +292,7 @@ def class_number_via_L(d: int, policy: LTruncationPolicy,
         raise ValueError("d <= 4 is handled by form counting only")
     T = policy.cutoff(X, Y, P)
     md = -d
-    if _np is not None and sieve is not None:
+    if sieve is not None:
         chi = _chi_table(md, T, sieve)
         total = float(_np.dot(chi, 1.0 / _np.arange(1, T + 1, dtype=_np.float64)))
     else:
@@ -362,8 +322,6 @@ def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
     falls back to form counting.  Non-fundamental d reduces to d0 by the
     conductor formula h(-d) = h(d0) f prod_{p|f}(1 - (d0|p)/p) / [unit index].
     """
-    if _np is None:  # pragma: no cover
-        raise RuntimeError("numpy/scipy unavailable")
     _check_disc(d)
     d0, f = fundamental_decomposition(d, sieve)
     q = -d0

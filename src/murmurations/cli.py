@@ -16,14 +16,16 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .arith import build_sieve
 from .classnumbers import hurwitz_sieve, load_table, save_table
 from .constants import euler_constant, q_weighted_sums, qsqrt_product
 from .density import (DensityConfig, dyadic_closed_form_constants,
                       murmuration_density, murmuration_density_bessel,
                       universal_asymptotic)
-from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, theta, \
-    theta_bruteforce, _smooth_square_gs
+from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, \
+    smooth_square_gs, theta, theta_bruteforce
 from .signcheck import SignCheckConfig, grid_verify, second_peak_probe
 from .traceformula import dyadic_average, interval_average
 
@@ -93,7 +95,7 @@ def _cmd_sieve_classnumbers(args: argparse.Namespace) -> int:
         cache_dir() / f"hurwitz_{table.dmin}_{table.dmax}.murh1")
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, str(path))
-    nonzero = sum(1 for d in range(table.dmin, table.dmax + 1) if table[d])
+    nonzero = int(np.count_nonzero(table.six))
     _write_csv(args.out, ["dmin", "dmax", "nonzero_entries", "cache_path"],
                [[table.dmin, table.dmax, nonzero, str(path)]])
     return 0
@@ -225,7 +227,7 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
         for d in range(1, args.dmax + 1):
             if not is_admissible(r, d):
                 continue
-            for g in _smooth_square_gs(d, args.gmax, sieve):
+            for g in smooth_square_gs(d, args.gmax, sieve):
                 for P in (7, 11):
                     try:
                         closed = phi_circ(r, d, g, P, sieve)
@@ -258,7 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="build and cache the weighted class-number table")
     s.add_argument("--dmin", type=int, default=3)
     s.add_argument("--dmax", type=int, required=True)
-    s.add_argument("--hurwitz-cache", help="cache file path (MURH1 format)")
+    s.add_argument("--hurwitz-cache",
+                   help="cache file path (MURH1 version 2: a header, then "
+                        "6 H_1(-d) as raw int32 for d = dmin..dmax)")
     s.add_argument("--out", help="summary CSV path (default stdout)")
     s.set_defaults(func=_cmd_sieve_classnumbers)
 

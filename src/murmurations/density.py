@@ -1,6 +1,6 @@
 """The limiting murmuration density M_k(y) and its averages.
 
-Three equivalent evaluations of the same function are provided and
+Two equivalent evaluations of the same function are provided and
 cross-checked against each other:
 
   * murmuration_density        -- finite Chebyshev-polynomial sum (exact
@@ -10,9 +10,6 @@ cross-checked against each other:
                                   integral representation of J_n, so the
                                   only error sources are quadrature and a
                                   certified Euler-product bracket
-  * bessel_series_partial      -- the naively truncated double series with
-                                  a crude but certified tail bound (kept as
-                                  an independent diagnostic route)
 
 plus the oscillatory asymptotic profile, dyadic and smoothed averages,
 the k=2 dyadic closed form, and the Bessel antiderivative recursion.
@@ -26,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import jv
 
 from .arith import build_sieve
 from .constants import euler_constant
@@ -72,7 +70,7 @@ def _sign(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev polynomials and Bessel functions
+# Chebyshev polynomials
 # ---------------------------------------------------------------------------
 
 def chebyshev_U(n: int, x: float) -> float:
@@ -91,72 +89,6 @@ def chebyshev_U(n: int, x: float) -> float:
     for _ in range(n - 1):
         u0, u1 = u1, 2.0 * x * u1 - u0
     return u1
-
-
-def _bessel_series_exact(n: int, x: float) -> float:
-    """Ascending series for J_n(x) summed in exact rational arithmetic.
-
-    The float argument is treated as the exact dyadic rational it is, so the
-    alternating series suffers no cancellation; the result is the correctly
-    rounded float of a sum whose truncation error is below 1e-25 relative.
-    """
-    h = Fraction(x) / 2
-    term = h ** n / math.factorial(n)
-    total = term
-    h2 = h * h
-    m = 0
-    fterm = float(term)
-    while m < 500:
-        m += 1
-        term = -term * h2 / (m * (n + m))
-        total += term
-        fterm = abs(float(term))
-        if fterm < 1e-25 * max(abs(float(total)), 1e-280) and m * (n + m) > float(h2):
-            break
-    return float(total)
-
-
-def _bessel_miller(n: int, x: float) -> float:
-    """J_n(x) by backward recurrence normalized by J_0 + 2*sum J_{2m} = 1."""
-    start = int(max(n, x) + 16.0 * max(n, x) ** (1.0 / 3.0) + 24)
-    jp = 0.0                      # J_{m+1} (unnormalized)
-    jc = 1e-280                   # J_m
-    even_sum = 0.0
-    target = jc if start == n else 0.0
-    m = start
-    while m > 0:
-        jm = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jm           # jc is now the order m-1 value
-        m -= 1
-        if m == n:
-            target = jc
-        if m > 0 and m % 2 == 0:
-            even_sum += jc
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            even_sum *= 1e-250
-            target *= 1e-250
-    norm = jc + 2.0 * even_sum
-    return target / norm
-
-
-def bessel_J(n: int, x: float) -> float:
-    """Bessel function J_n(x) for integer n >= 0, x >= 0.
-
-    Relative error <= 1e-10 away from zeros of J_n for x <= 1e4, n <= 64:
-    exact-rational ascending series for x < max(12, 2n), Miller backward
-    recurrence with the even-order normalization otherwise.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < max(12.0, 2.0 * n):
-        return _bessel_series_exact(n, x)
-    return _bessel_miller(n, x)
 
 
 # ---------------------------------------------------------------------------
@@ -362,54 +294,6 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float,
     return value, tail_bound
 
 
-_LANDAU = 0.6749  # |J_n(z)| <= 0.674885... z^(-1/3) uniformly in n >= 0
-
-
-def bessel_series_partial(cfg: DensityConfig, y: float) -> tuple[float, float]:
-    """The naively truncated (dmax, smax) Bessel double series with a crude
-    certified tail bound.  Returns (value, tail_bound).
-
-    Diagnostic route only: the s-tail decays like smax^(-1/3) through the
-    uniform |J_n(z)| <= min(1, 0.6749 z^(-1/3)) bound, so tight tolerances
-    are out of reach by construction.  Requires dmax >= 2 sqrt(y) so the
-    d-tail can use the exact value of the inner sum beyond the cutoff.
-    """
-    if y <= 0:
-        raise ValueError("y must be positive")
-    sy = math.sqrt(y)
-    if cfg.dmax < 2.0 * sy:
-        raise ValueError("dmax must be at least 2 sqrt(y)")
-    order = cfg.k - 1
-    al = euler_constant("alpha", cfg.pmax)
-    be = euler_constant("beta", cfg.pmax)
-    ga = euler_constant("gamma", cfg.pmax)
-    total = 0.0
-    s_tail = 0.0
-    s_q = Fraction(0)
-    s_qd = Fraction(0)
-    for d in range(1, cfg.dmax + 1):
-        q = _q_exact(d)
-        s_q += q
-        s_qd += q / d
-        if q == 0:
-            continue
-        c = 4.0 * math.pi * sy / d
-        qf = float(q)
-        total += qf * math.fsum(bessel_J(order, c * s) / s
-                                for s in range(1, cfg.smax + 1))
-        s_tail += qf * _LANDAU * c ** (-1.0 / 3.0) * 3.0 / cfg.smax ** (1.0 / 3.0)
-    q_total = be.value / al.value
-    tail = (q_total - float(s_q)) / order
-    bracket = q_total * (be.tail_bound / be.value + al.tail_bound / al.value)
-    if order == 1:
-        qd_total = ga.value / (al.value * math.pi)
-        tail -= math.pi * sy * (qd_total - float(s_qd))
-        bracket += math.pi * sy * qd_total * 2e-6
-    value = al.value * sy * (total + tail)
-    tail_bound = al.value * sy * (s_tail + bracket / order)
-    return value, tail_bound
-
-
 # ---------------------------------------------------------------------------
 # Oscillatory asymptotic profile
 # ---------------------------------------------------------------------------
@@ -553,8 +437,8 @@ class BesselAntiderivative:
     coefficients: dict[int, float]
 
     def __call__(self, x: float) -> float:
-        return sum(c * bessel_J(t, x) for t, c in self.coefficients.items()
-                   ) / x ** 4
+        return float(sum(c * jv(t, x) for t, c in self.coefficients.items())
+                     / x ** 4)
 
 
 def _lower_power(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -221,17 +221,7 @@ def nu(r: int, sieve: FactorSieve) -> Fraction:
     return result
 
 
-@dataclass(frozen=True)
-class ThetaTriple:
-    """An (m, d, g) index of the triple sum: (m, d) = 1, g | d^infinity,
-    (r, d) admissible in context."""
-
-    m: int
-    d: int
-    g: int
-
-
-def _smooth_square_gs(d: int, bound: int, sieve: FactorSieve) -> list[int]:
+def smooth_square_gs(d: int, bound: int, sieve: FactorSieve) -> list[int]:
     """All squares g | d^infinity with g <= bound, ascending."""
     gs = [1]
     for p, _ in sieve.factor(d):
@@ -307,7 +297,7 @@ def theta_sum_partial(r: int, Z: int, Zprime: int, P: int,
         dfac = 1.0 / d ** 3
         for p in dps:
             dfac /= 1.0 - 1.0 / (p * p)
-        for g in _smooth_square_gs(d, Zprime, sieve):
+        for g in smooth_square_gs(d, Zprime, sieve):
             pg = _phi_circ_ext(r, d, g, sieve)
             if pg == 0:
                 continue
@@ -319,50 +309,3 @@ def theta_sum_partial(r: int, Z: int, Zprime: int, P: int,
                 acc += _theta_factor(m, r, sieve)
             total += gfac * acc
     return total
-
-
-# ---------------------------------------------------------------------------
-# The direct square-free character sum over an interval
-# ---------------------------------------------------------------------------
-
-def S_dnr(d: int, n: int, r: int, X: int, Y: int, P: int,
-          sieve: FactorSieve) -> int:
-    """Exact sum of mu^2(N) (N|n) ((r^2 N - 4P)/d^2 | n) over N in [X, X+Y]
-    lying in the residue class set mod d^2, with P excluded from N.
-
-    Requires 4P > r^2 (X + Y) so the shifted argument keeps one sign.
-    """
-    if 4 * P <= r * r * (X + Y):
-        raise ValueError("need 4P > r^2 (X+Y)")
-    rs = remainder_set(r, d, P, enforce_regime=False)
-    if not rs.admissible:
-        return 0
-    d2 = d * d
-    r2 = r * r
-    total = 0
-    for t in rs.residues:
-        start = X + (t - X) % d2
-        for N in range(start, X + Y + 1, d2):
-            if N % P == 0 or not sieve.is_squarefree(N):
-                continue
-            s = (r2 * N - 4 * P) // d2
-            total += kronecker(N, n) * kronecker(s, n)
-    return total
-
-
-def S_dnr_main_term(d: int, n: int, r: int, Y: int, P: int,
-                    sieve: FactorSieve) -> float:
-    """Predicted main term (Y/zeta(2)) (eta/phi)(d^2 n) phi^o_{r,d}(g) theta_r(n'),
-    where g is the d-smooth part of n and n' = n/g."""
-    g = 1
-    ps = [p for p, _ in sieve.factor(d)]
-    nn = n
-    for p in ps:
-        while nn % p == 0:
-            nn //= p
-            g *= p
-    nprime = n // g
-    zeta2 = math.pi * math.pi / 6
-    d2n = d * d * n
-    ef = float(sieve.eta(d2n)) / sieve.euler_phi(d2n)
-    return (Y / zeta2) * ef * phi_circ(r, d, g, P, sieve) * theta(r, nprime, P, sieve)

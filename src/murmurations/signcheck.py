@@ -34,7 +34,6 @@ DEFAULT_OFFSETS = (0.0, 0.5, 0.162)
 # product's footnote slack); the certificate recomputes its own bound and
 # uses whichever is larger.
 REFERENCE_QSQRT_BOUND = 3.0907 + 0.00004
-REFERENCE_BUDGET = 0.6306
 
 
 @lru_cache(maxsize=1)
@@ -66,7 +65,6 @@ class SignCheckConfig:
     D: tuple[int, ...] = DEFAULT_D
     S: int = 4_010_000          # 2/sqrt(S) < 0.001
     offsets: tuple[float, ...] = DEFAULT_OFFSETS
-    threshold_margin: float = REFERENCE_BUDGET
 
     def __post_init__(self) -> None:
         if not self.D:

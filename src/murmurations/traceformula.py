@@ -90,7 +90,7 @@ def _class_number(m: int, sieve: FactorSieve,
                   table: HurwitzTable | None) -> Fraction:
     """Weighted h(-m), zero when -m is not a discriminant, cached.
 
-    With a table, h is reconstructed from the tabulated Hurwitz values by
+    With a table, 6 h is reconstructed from the tabulated 6 H_1 values by
     Moebius inversion over square divisors; otherwise per-value counting
     (certified analytic rounding beyond 10^6).
     """
@@ -103,11 +103,12 @@ def _class_number(m: int, sieve: FactorSieve,
     if table is None:
         val = gauss_h_weighted(m, sieve, certified_above=10 ** 6)
     else:
-        if m > table.dmax or m < table.dmin:
+        # the quotients m / f^2 reach down to the smallest discriminant, 3
+        if m > table.dmax or table.dmin > 3:
             raise LookupError(
                 f"class-number table [{table.dmin}, {table.dmax}] "
-                f"does not cover discriminant -{m}")
-        val = Fraction(0)
+                f"does not cover [3, {m}]")
+        six = 0
         f = 1
         while f * f <= m:
             if m % (f * f) == 0:
@@ -116,8 +117,9 @@ def _class_number(m: int, sieve: FactorSieve,
                 if q % 4 not in (1, 2):
                     mu = sieve.mu(f)
                     if mu:
-                        val += mu * table[q]
+                        six += mu * int(table.six[q - table.dmin])
             f += 1
+        val = Fraction(six, 6)
     cache[m] = val
     return val
 
@@ -209,6 +211,22 @@ def _square_free_levels(lo: int, hi: int, P: int,
                         sieve: FactorSieve) -> list[int]:
     return [N for N in range(lo, hi + 1)
             if N % P and sieve.is_squarefree(N)]
+
+
+def window_density(cfg: DensityConfig, P: int, X: int, Y: int,
+                   sieve: FactorSieve) -> float:
+    """M_k(P/N) averaged over the levels N of interval_average(X, Y, P, k),
+    each weighted by phi(N) as the dimension main term weights its trace.
+
+    Unlike the pointwise M_k(P/X), this carries no O(Y/X) drift across
+    the window.
+    """
+    num = den = 0.0
+    for N in _square_free_levels(X, X + Y, P, sieve):
+        w = float(sieve.euler_phi(N))
+        num += w * murmuration_density(cfg, P / N)
+        den += w
+    return num / den
 
 
 def interval_average(X: int, Y: int, P: int, k: int,

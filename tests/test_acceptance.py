@@ -20,13 +20,13 @@ from murmurations.density import (DensityConfig, dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
                                   murmuration_density,
                                   murmuration_density_bessel, smoothed_average)
-from murmurations.multfns import (_smooth_square_gs, is_admissible, nu,
-                                  phi_circ, phi_circ_bruteforce, theta,
-                                  theta_bruteforce, theta_sum_partial)
+from murmurations.multfns import (is_admissible, nu, phi_circ,
+                                  phi_circ_bruteforce, smooth_square_gs,
+                                  theta, theta_bruteforce, theta_sum_partial)
 from murmurations.signcheck import (SignCheckConfig, grid_verify,
                                     second_peak_probe)
 from murmurations.traceformula import TraceParams, interval_average, \
-    trace_TpWN
+    trace_TpWN, window_density
 
 SIEVE = build_sieve(200000)
 
@@ -100,7 +100,7 @@ def test_criterion_03_multiplicative_function_oracles():
         for d in range(1, 41):
             if not is_admissible(r, d):
                 continue
-            for g in _smooth_square_gs(d, 10 ** 4, SIEVE):
+            for g in smooth_square_gs(d, 10 ** 4, SIEVE):
                 for P in (7, 11):
                     if d % P == 0:
                         continue
@@ -183,16 +183,6 @@ def test_criterion_07_dyadic_closed_form():
                    f"({da:.1e}, {db:.1e}, {dc:.1e}) vs 5e-5, {elapsed:.0f}s")
 
 
-def _window_density(cfg, P, X, Y):
-    num = den = 0.0
-    for N in range(X, X + Y + 1):
-        if N % P and SIEVE.is_squarefree(N):
-            w = float(SIEVE.euler_phi(N))
-            num += w * murmuration_density(cfg, P / N)
-            den += w
-    return num / den
-
-
 def test_criterion_08_desk_scale_empirical_murmuration():
     t0 = time.time()
     X, Y = 10 ** 4, 10 ** 3
@@ -203,7 +193,7 @@ def test_criterion_08_desk_scale_empirical_murmuration():
         for P in primes:
             rep = interval_average(X, Y, P, k, cfg=cfg)
             tol = max(0.1, 0.15 * abs(rep.predicted))
-            window = _window_density(cfg, P, X, Y)
+            window = window_density(cfg, P, X, Y, SIEVE)
             good = abs(rep.residual) <= tol
             if not good:
                 failures.append((k, P))

@@ -74,9 +74,10 @@ def test_square_divisor_reconstruction_small():
 
 
 def test_sieve_matches_per_value():
-    table = hurwitz_sieve(3, 3000)
-    for d in _valid_ds(3, 3001):
-        assert table[d] == hurwitz_H1(d, SIEVE)
+    for dmin, dmax in ((3, 3000), (10 ** 5, 10 ** 5 + 2000)):
+        table = hurwitz_sieve(dmin, dmax)
+        for d in range(dmin, dmax + 1):
+            assert table[d] == hurwitz_H1(d, SIEVE)
 
 
 def test_table_round_trip(tmp_path):
@@ -104,12 +105,14 @@ def test_table_truncated_payload_rejected(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="corrupt table payload"):
             load_table(path)
-    # a zero run past dmax, and a zero denominator
-    header = b"MURH1" + struct.pack("<IQQ", 1, 3, 10)
-    for record in (struct.pack("<qQ", 0, 2 ** 60), struct.pack("<qQ", 1, 0)):
-        path.write_bytes(header + record)
-        with pytest.raises(ValueError, match="corrupt table payload"):
-            load_table(path)
+    path.write_bytes(data + bytes(4))
+    with pytest.raises(ValueError, match="corrupt table payload"):
+        load_table(path)
+    # the run-length format of version 1 is rejected, not misread
+    path.write_bytes(b"MURH1" + struct.pack("<IQQ", 1, 3, 10)
+                     + struct.pack("<qQ", 0, 8))
+    with pytest.raises(ValueError, match="version 1"):
+        load_table(path)
 
 
 def test_fundamental_decomposition():

@@ -1,6 +1,7 @@
 """CLI plumbing: exit codes, deterministic CSV, cache handling, SVG purity."""
 
 import os
+import struct
 import subprocess
 import sys
 
@@ -112,6 +113,18 @@ def test_truncated_cache_exits_2(tmp_path):
     assert res.stdout == ""
     assert res.stderr.strip().splitlines() == [
         "murmur trace-average: corrupt table payload"]
+
+
+def test_v1_cache_exits_2(tmp_path):
+    cache = tmp_path / "h.murh1"
+    cache.write_bytes(b"MURH1" + struct.pack("<IQQ", 1, 3, 3000)
+                      + struct.pack("<qQ", 0, 2998))
+    res = run(["trace-average", "--X", "10", "--Y", "4", "--P", "7",
+               "--k", "2", "--hurwitz-cache", str(cache)], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "version 1" in lines[0]
 
 
 def test_missing_cache_exits_2(tmp_path):

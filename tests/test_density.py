@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from murmurations.constants import euler_constant
 from murmurations.density import (DensityConfig, adaptive_quadrature,
                                   bessel_antiderivative, bessel_inner_sum,
-                                  bessel_J, chebyshev_U,
+                                  chebyshev_U,
                                   dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
                                   murmuration_density,
@@ -22,14 +22,6 @@ from murmurations.density import (DensityConfig, adaptive_quadrature,
 
 
 # -- special functions ------------------------------------------------------
-
-@given(st.integers(0, 64), st.floats(0.0, 10000.0))
-@settings(max_examples=300, deadline=None)
-def test_bessel_matches_scipy(n, x):
-    ours = bessel_J(n, x)
-    ref = float(sp.jv(n, x))
-    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
-
 
 @given(st.integers(0, 40), st.floats(-1.0, 1.0))
 @settings(max_examples=300)

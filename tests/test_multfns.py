@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from murmurations.arith import build_sieve
 from murmurations.constants import euler_constant
-from murmurations.multfns import (Q, _smooth_square_gs, is_admissible, nu,
-                                  phi_circ, phi_circ_bruteforce,
-                                  remainder_set, theta, theta_bruteforce,
+from murmurations.multfns import (Q, is_admissible, nu, phi_circ,
+                                  phi_circ_bruteforce, remainder_set,
+                                  smooth_square_gs, theta, theta_bruteforce,
                                   theta_sum_partial)
 
 SIEVE = build_sieve(20000)
@@ -60,7 +60,7 @@ def test_phi_circ_matches_bruteforce():
             for d in range(1, 13):
                 if not is_admissible(r, d) or d % P == 0:
                     continue
-                for g in _smooth_square_gs(d, 600, SIEVE):
+                for g in smooth_square_gs(d, 600, SIEVE):
                     try:
                         closed = phi_circ(r, d, g, P, SIEVE)
                     except ValueError:

@@ -64,7 +64,7 @@ def test_corrupted_table_is_caught():
     # The direct route runs first, so a cache shared between the routes
     # would hand the corrupted table's lookups the direct values.
     table = hurwitz_sieve(3, 4 * 97 * 30 + 10)
-    bad = HurwitzTable(table.dmin, table.dmax, [v + 7 for v in table.values])
+    bad = HurwitzTable(table.dmin, table.dmax, table.six + 42)
     for N, P in ((1, 5), (13, 7), (30, 97)):
         direct = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
         assert trace_TpWN(_params(N, P, 2), table=table,
