@@ -6,8 +6,8 @@ Subpackage layout:
 
     arith         smallest-prime-factor sieve, Kronecker symbol, and the
                   elementary summatory functions (mu, phi, eta, mu^2-counts)
-    classnumbers  exact Gauss/Hurwitz class numbers, batch tables, disk cache,
-                  truncated L-series cross-check
+    classnumbers  exact Gauss/Hurwitz class numbers (form counting and a
+                  certified character sum), batch tables, disk cache
     multfns       the multiplicative-function layer: remainder sets, theta_r,
                   phi_circ, nu, Q, the triple sum converging to B*nu(r)
     constants     Euler-product constants with certified truncation tails

@@ -1,12 +1,10 @@
 """Exact class numbers of negative discriminants.
 
-Three routes, cross-checked against each other:
+Two routes, cross-checked against each other:
 
   * reduced-form enumeration (exact, per value or batched over a range);
   * a certified smoothed character sum that provably rounds to the exact
-    integer value, fast enough for discriminants ~ 10^9;
-  * the truncated Dirichlet class number formula, a float-only sanity
-    check that never feeds the exact pipelines.
+    integer value, fast enough for discriminants ~ 10^9.
 
 Conventions: ``gauss_h(d)`` counts primitive reduced forms of discriminant
 -d (so h(-3) = h(-4) = 1); the weighted variant used by the trace divides
@@ -23,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as _np
@@ -116,18 +114,21 @@ def hurwitz_H1(d: int, sieve: FactorSieve) -> Fraction:
     return Fraction(count) - Fraction(w2, 2) - Fraction(2 * w3, 3)
 
 
-def gauss_h_weighted(d: int, sieve: FactorSieve,
-                     certified_above: int = 10 ** 7) -> Fraction:
+_CERTIFIED_ABOVE = 10 ** 6
+
+
+def gauss_h_weighted(d: int, sieve: FactorSieve) -> Fraction:
     """h(-d) with the 1/3, 1/2 automorphism weights at d = 3, 4.
 
-    This is the per-discriminant weight the trace formula uses.  Large d is
-    routed to the certified analytic evaluation, small d to form counting.
+    This is the per-discriminant weight the trace formula uses.  d above
+    10^6 is routed to the certified analytic evaluation, smaller d to form
+    counting.
     """
     if d == 3:
         return Fraction(1, 3)
     if d == 4:
         return Fraction(1, 2)
-    if d <= certified_above:
+    if d <= _CERTIFIED_ABOVE:
         return Fraction(gauss_h_bruteforce(d, sieve))
     return Fraction(gauss_h_certified(d, sieve))
 
@@ -145,16 +146,13 @@ class HurwitzTable:
     """H_1(-d) for dmin <= d <= dmax, stored as the integers 6 H_1(-d).
 
     six[d - dmin] = 6 H_1(-d), a little-endian int32 array; entries vanish
-    at -d = 2, 3 mod 4.  h_cache holds the weighted h(-m) that the trace
-    formula reconstructs from this table, so no other table or route
-    shares them.  Tables compare by identity: == on the array is
+    at -d = 2, 3 mod 4.  Tables compare by identity: == on the array is
     elementwise.
     """
 
     dmin: int
     dmax: int
     six: _np.ndarray
-    h_cache: dict[int, Fraction] = field(default_factory=dict, repr=False)
 
     def __getitem__(self, d: int) -> Fraction:
         if not (self.dmin <= d <= self.dmax):
@@ -238,28 +236,8 @@ def load_table(path: str | os.PathLike) -> HurwitzTable:
 
 
 # ---------------------------------------------------------------------------
-# Analytic routes
+# Certified analytic route
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LTruncationPolicy:
-    """Cutoff policy for the truncated L(1, chi) sum.
-
-    mode 'fixed' uses T as given; 'paper-scaled' derives
-    T = ceil(Y^(5/6) P^(5/12) X^(-1/12)) from interval parameters.
-    """
-
-    T: int = 100000
-    mode: str = "fixed"
-
-    def cutoff(self, X: float | None = None, Y: float | None = None,
-               P: float | None = None) -> int:
-        if self.mode == "paper-scaled":
-            if X is None or Y is None or P is None:
-                raise ValueError("paper-scaled mode needs X, Y, P")
-            return math.ceil(Y ** (5 / 6) * P ** (5 / 12) * X ** (-1 / 12))
-        return self.T
-
 
 def fundamental_decomposition(d: int, sieve: FactorSieve) -> tuple[int, int]:
     """Write -d = d0 * f^2 with d0 a fundamental discriminant; return (d0, f)."""
@@ -275,38 +253,6 @@ def fundamental_decomposition(d: int, sieve: FactorSieve) -> tuple[int, int]:
     if f % 2:
         raise ValueError(f"-{d} is not a discriminant")  # unreachable for valid d
     return -4 * s, f // 2
-
-
-def class_number_via_L(d: int, policy: LTruncationPolicy,
-                       sieve: FactorSieve | None = None,
-                       X: float | None = None, Y: float | None = None,
-                       P: float | None = None) -> float:
-    """Float h(-d) from the truncated class number formula.
-
-    (sqrt(d)/pi) * Sum_{n <= T} (-d|n)/n, for fundamental -d < -4; error is
-    bounded by (sqrt(d)/pi) * C sqrt(d) log d / T with C = 2.  A sanity
-    check only -- exact pipelines use form counting or the certified sum.
-    """
-    _check_disc(d)
-    if d <= 4:
-        raise ValueError("d <= 4 is handled by form counting only")
-    T = policy.cutoff(X, Y, P)
-    md = -d
-    if sieve is not None:
-        chi = _chi_table(md, T, sieve)
-        total = float(_np.dot(chi, 1.0 / _np.arange(1, T + 1, dtype=_np.float64)))
-    else:
-        total = 0.0
-        for n in range(1, T + 1):
-            c = kronecker(md, n)
-            if c:
-                total += c / n
-    return math.sqrt(d) / math.pi * total
-
-
-def l_truncation_error_bound(d: int, T: int, C: float = 2.0) -> float:
-    """Documented error bound for class_number_via_L."""
-    return math.sqrt(d) / math.pi * C * math.sqrt(d) * math.log(d) / T
 
 
 def gauss_h_certified(d: int, sieve: FactorSieve) -> int:

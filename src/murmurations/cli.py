@@ -105,7 +105,8 @@ def _load_table_if_covering(path: str | None, need: int):
     if not path:
         return None
     table = load_table(path)
-    # Moebius reconstruction reads quotients down to d = 3
+    # a trace read H_1(-N(4P - r^2 N)) can be as small as 3 (N = 1, P = 3,
+    # r = 3), so only [3, need] covers every input
     if table.dmin <= 3 and table.dmax >= need:
         return table
     print(f"note: cache {path} covers [{table.dmin}, {table.dmax}], not "

@@ -123,7 +123,7 @@ def zeta_3_2_partial(S: int) -> tuple[float, float]:
 # Partial sums of Q
 # ---------------------------------------------------------------------------
 
-def q_table(T: int, sieve: FactorSieve | None = None) -> np.ndarray:
+def q_table(T: int) -> np.ndarray:
     """Q(d) for 0 <= d <= T as floats (Q(0) := 0), built multiplicatively.
 
     Q(d) = mu^2(d) prod_{p|d} p^2/(p^4 - 2p^2 - p + 1).

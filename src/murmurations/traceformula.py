@@ -2,14 +2,18 @@
 involution on square-free-level newform spaces, and the interval/dyadic
 empirical averages they produce.
 
-Per level, the trace is a finite class-number sum
+Per level, the trace is a finite sum of Hurwitz class numbers
 
-    h(-4PN)/2 + h(-PN)/2 - [k=2] P
+    H_1(-4PN)/2 - [k=2] P
     + (-1)^(k/2-1) sum_{1 <= r <= 2 sqrt(P/N)} U_{k-2}(r sqrt(N)/(2 sqrt P))
-        sum_{d^2 | r^2 N - 4P} h(N (r^2 N - 4P)/d^2)
+        H_1(-N (4P - r^2 N))
 
-with the 1/2, 1/3 automorphism weights at discriminants -4, -3.  For
-k = 2 every factor is rational and the value is an exact integer, which
+with the 1/2, 1/3 automorphism weights at discriminants -4, -3.  Each
+H_1(-Nm), m = 4P - r^2 N, is the sum of h(-Nm/f^2) over f^2 | m: a square
+f^2 | Nm that does not divide m needs a prime p | N with p | m, so p | 4P
+and p = 2; then N is even, r is odd and -Nm/f^2 = 3 mod 4 is no
+discriminant.
+For k = 2 every factor is rational and the value is an exact integer, which
 the test-suite uses as the strongest internal consistency check.
 Averages divide by the dimension main term (k-1) phi(N)/12 summed over
 the same levels, which normalizes the interval average directly onto the
@@ -81,47 +85,21 @@ class TraceReport:
 # ---------------------------------------------------------------------------
 
 # Weighted h(-m) from the direct route, shared by every average in the
-# process.  Values reconstructed from a table are cached on that table
-# (HurwitzTable.h_cache), so the two routes never read each other's values.
+# process.
 _h_cache: dict[int, Fraction] = {}
 
 
-def _class_number(m: int, sieve: FactorSieve,
-                  table: HurwitzTable | None) -> Fraction:
+def _class_number(m: int, sieve: FactorSieve) -> Fraction:
     """Weighted h(-m), zero when -m is not a discriminant, cached.
 
-    With a table, 6 h is reconstructed from the tabulated 6 H_1 values by
-    Moebius inversion over square divisors; otherwise per-value counting
-    (certified analytic rounding beyond 10^6).
+    Per-value counting (certified analytic rounding beyond 10^6).
     """
     if m % 4 in (1, 2):
         return Fraction(0)
-    cache = _h_cache if table is None else table.h_cache
-    got = cache.get(m)
-    if got is not None:
-        return got
-    if table is None:
-        val = gauss_h_weighted(m, sieve, certified_above=10 ** 6)
-    else:
-        # the quotients m / f^2 reach down to the smallest discriminant, 3
-        if m > table.dmax or table.dmin > 3:
-            raise LookupError(
-                f"class-number table [{table.dmin}, {table.dmax}] "
-                f"does not cover [3, {m}]")
-        six = 0
-        f = 1
-        while f * f <= m:
-            if m % (f * f) == 0:
-                q = m // (f * f)
-                # quotients that are not discriminants tabulate to zero
-                if q % 4 not in (1, 2):
-                    mu = sieve.mu(f)
-                    if mu:
-                        six += mu * int(table.six[q - table.dmin])
-            f += 1
-        val = Fraction(six, 6)
-    cache[m] = val
-    return val
+    got = _h_cache.get(m)
+    if got is None:
+        got = _h_cache[m] = gauss_h_weighted(m, sieve)
+    return got
 
 
 def _square_divisors(m: int, sieve: FactorSieve) -> list[int]:
@@ -138,6 +116,16 @@ def _square_divisors(m: int, sieve: FactorSieve) -> list[int]:
     return sorted(divs)
 
 
+def _hurwitz(N: int, m: int, sieve: FactorSieve,
+             table: HurwitzTable | None) -> Fraction:
+    """H_1(-N m) for a trace term m = 4P - r^2 N: one table read, or the
+    sum of h(-N m/f^2) over f^2 | m (see the module docstring)."""
+    if table is not None:
+        return table[N * m]
+    return sum((_class_number(N * m // (f * f), sieve)
+                for f in _square_divisors(m, sieve)), Fraction(0))
+
+
 def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
                sieve: FactorSieve | None = None) -> Fraction | float:
     """Trace of the composed Hecke/Fricke operator at level N, weight k.
@@ -150,9 +138,7 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
     N, P, k = params.N, params.P, params.k
     if not sieve.is_squarefree(N):
         raise ValueError("N must be square-free")
-    h4 = _class_number(4 * P * N, sieve, table)
-    h1 = _class_number(P * N, sieve, table)
-    exact = h4 / 2 + h1 / 2
+    exact = _hurwitz(N, 4 * P, sieve, table) / 2
     if k == 2:
         exact -= P
     sign = -1 if k % 4 == 0 else 1
@@ -163,9 +149,7 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
         m = 4 * P - r * r * N
         if m <= 0:
             continue
-        inner = Fraction(0)
-        for d in _square_divisors(m, sieve):
-            inner += _class_number(N * m // (d * d), sieve, table)
+        inner = _hurwitz(N, m, sieve, table)
         if k == 2:
             osc_exact += inner
         else:

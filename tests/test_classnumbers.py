@@ -1,7 +1,6 @@
 """Class numbers: form counting, weighted variants, the square-divisor
 reconstruction, serialization, and the certified analytic route."""
 
-import math
 import struct
 from fractions import Fraction
 
@@ -11,14 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import build_sieve, kronecker
-from murmurations.classnumbers import (HurwitzTable, LTruncationPolicy,
-                                       _chi_table,
-                                       class_number_via_L,
-                                       fundamental_decomposition,
+from murmurations.classnumbers import (_chi_table, fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
                                        gauss_h_weighted, hurwitz_H1,
-                                       hurwitz_sieve, l_truncation_error_bound,
-                                       load_table, save_table)
+                                       hurwitz_sieve, load_table, save_table)
 
 SIEVE = build_sieve(200000)
 
@@ -165,24 +160,3 @@ def test_chi_table_matches_kronecker(d0):
         got = _chi_table(d0, n0, sieve)
         assert got.dtype == np.float64 and len(got) == n0
         assert got.tolist() == want, (d0, n0)
-
-
-def test_class_number_via_L_policy():
-    policy = LTruncationPolicy()
-    for d in (163, 9347, 40387):
-        est = class_number_via_L(d, policy, SIEVE)
-        tol = min(0.49, l_truncation_error_bound(d, policy.T))
-        assert est == pytest.approx(gauss_h_bruteforce(d, SIEVE), abs=tol)
-
-
-def test_paper_scaled_cutoff():
-    policy = LTruncationPolicy(mode="paper-scaled")
-    assert policy.cutoff(X=10 ** 4, Y=10 ** 3, P=10 ** 4) == \
-        math.ceil(10 ** 2.5 * 10 ** (5 / 3) * 10 ** (-1 / 3))
-    with pytest.raises(ValueError):
-        policy.cutoff()
-
-
-def test_l_truncation_bound_monotone():
-    b = [l_truncation_error_bound(10 ** 6, T) for T in (10, 100, 1000)]
-    assert b[0] > b[1] > b[2] > 0

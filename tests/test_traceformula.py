@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import build_sieve, is_prime
-from murmurations.classnumbers import HurwitzTable, hurwitz_sieve
+from murmurations.classnumbers import HurwitzTable, hurwitz_H1, hurwitz_sieve
 from murmurations.density import DensityConfig, murmuration_density
-from murmurations.traceformula import (TraceParams, _square_divisors,
-                                       dimension_main, dyadic_average,
-                                       interval_average, trace_TpWN)
+from murmurations.traceformula import (TraceParams, _hurwitz,
+                                       _square_divisors, dimension_main,
+                                       dyadic_average, interval_average,
+                                       trace_TpWN)
 
 SIEVE = build_sieve(20000)
 
@@ -48,21 +49,39 @@ def test_k2_trace_is_integer(N, pidx):
     assert t.denominator == 1
 
 
+def test_hurwitz_read_matches_form_counting():
+    # The direct route's sum over f^2 | m is the whole H_1(-Nm), the 2-adic
+    # case of even N and odd r included.
+    for N in range(1, 201):
+        if not SIEVE.is_squarefree(N):
+            continue
+        for P in (3, 5, 7, 97):
+            if N % P == 0:
+                continue
+            r = 0
+            while r * r * N < 4 * P:
+                m = 4 * P - r * r * N
+                assert _hurwitz(N, m, SIEVE, None) == \
+                    hurwitz_H1(N * m, SIEVE), (N, P, r)
+                r += 1
+
+
 def test_table_route_matches_direct():
     table = hurwitz_sieve(3, 4 * 97 * 30 + 10)
     for N in (1, 2, 3, 5, 6, 7, 11, 13, 15, 21, 26, 29, 30):
         for P in (5, 7, 97):
             if N % P == 0:
                 continue
-            with_table = trace_TpWN(_params(N, P, 2), table=table,
-                                    sieve=SIEVE)
-            direct = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
-            assert with_table == direct
+            for k in (2, 4, 6):
+                with_table = trace_TpWN(_params(N, P, k), table=table,
+                                        sieve=SIEVE)
+                direct = trace_TpWN(_params(N, P, k), sieve=SIEVE)
+                assert with_table == direct, (N, P, k)
 
 
 def test_corrupted_table_is_caught():
-    # The direct route runs first, so a cache shared between the routes
-    # would hand the corrupted table's lookups the direct values.
+    # The table route caches nothing, so every trace reads the corrupted
+    # entries even after the direct route has computed the same values.
     table = hurwitz_sieve(3, 4 * 97 * 30 + 10)
     bad = HurwitzTable(table.dmin, table.dmax, table.six + 42)
     for N, P in ((1, 5), (13, 7), (30, 97)):
