@@ -10,7 +10,7 @@ M_k(P/X), the residual, and the density averaged over the actual window
 import argparse
 import time
 
-from murmurations.arith import build_sieve, is_prime
+from murmurations.arith import is_prime
 from murmurations.density import DensityConfig
 from murmurations.traceformula import interval_average, window_density
 
@@ -31,7 +31,6 @@ def main() -> None:
     ap.add_argument("--ratios", default="0.2,0.5,1,2,3")
     args = ap.parse_args()
 
-    sieve = build_sieve(args.X + args.Y + 10)
     ratios = [float(t) for t in args.ratios.split(",")]
     primes = [nearest_prime(int(round(r * args.X))) for r in ratios]
     print(f"X={args.X} Y={args.Y} primes={primes}")
@@ -42,7 +41,7 @@ def main() -> None:
         for P in primes:
             t0 = time.time()
             rep = interval_average(args.X, args.Y, P, k, cfg=cfg)
-            wavg = window_density(cfg, P, args.X, args.Y, sieve)
+            wavg = window_density(cfg, P, args.X, args.Y)
             print(f"{k:>3} {P:>7} {P / args.X:>6.2f} {rep.average:>10.4f} "
                   f"{rep.predicted:>10.4f} {rep.residual:>+10.4f} "
                   f"{wavg:>10.4f}   ({time.time() - t0:.0f}s)")

@@ -4,8 +4,9 @@ and a certified finite verification of the density's sign changes.
 
 Subpackage layout:
 
-    arith         smallest-prime-factor sieve, Kronecker symbol, and the
-                  elementary summatory functions (mu, phi, eta, mu^2-counts)
+    arith         the shared smallest-prime-factor sieve, primes, Kronecker
+                  symbol, and the elementary summatory functions (mu, phi,
+                  eta, mu^2-counts)
     classnumbers  exact Gauss/Hurwitz class numbers (form counting and a
                   certified character sum), batch tables, disk cache
     multfns       the multiplicative-function layer: remainder sets, theta_r,

@@ -1,9 +1,11 @@
 """Integer substrate: smallest-prime-factor sieve, Kronecker symbols, and
 the elementary multiplicative/summatory functions everything else consumes.
 
-The sieve is built once and then immutable; all operations are pure given
-the sieve.  Exact sums are plain Python integers (arbitrary precision), so
-there is no overflow concern at any scale used here.
+The process shares one factor sieve, `shared_sieve()`.  A sieve only
+speeds factorization up and never changes a value, so callers do not pick
+one: the shared sieve is replaced by a larger one when a range outgrows it
+and never shrinks.  Exact sums are plain Python integers (arbitrary
+precision), so there is no overflow concern at any scale used here.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +128,9 @@ class FactorSieve:
     def primes(self) -> list[int]:
         """All primes up to the sieve limit, ascending."""
         if self._primes is None:
-            spf = self.spf
-            self._primes = [p for p in range(2, self.limit + 1) if spf[p] == p]
+            spf = np.frombuffer(self.spf, dtype=np.int64)
+            self._primes = np.flatnonzero(
+                spf == np.arange(self.limit + 1))[2:].tolist()
         return self._primes
 
     def factor(self, n: int) -> list[tuple[int, int]]:
@@ -205,49 +210,71 @@ def _factor_hard(n: int) -> dict[int, int]:
     return out
 
 
+def primes_upto(n: int) -> np.ndarray:
+    """All primes <= n as an int64 array (sieve of Eratosthenes on flags)."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p:: p] = False
+    return np.nonzero(flags)[0].astype(np.int64)
+
+
 def build_sieve(limit: int) -> FactorSieve:
-    """Smallest-prime-factor sieve for 2..limit."""
+    """Smallest-prime-factor sieve for 2..limit (spf[0] = 0, spf[1] = 1)."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    spf = array("q", range(limit + 1))
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == i:
-            step = i
-            start = i * i
-            for j in range(start, limit + 1, step):
-                if spf[j] == j:
-                    spf[j] = i
-    return FactorSieve(limit=limit, spf=spf)
+    spf = np.arange(limit + 1, dtype=np.int64)
+    # Largest prime first, so the smallest prime of n is written last.
+    for p in primes_upto(math.isqrt(limit))[::-1].tolist():
+        spf[p * p::p] = p
+    table = array("q")
+    table.frombytes(memoryview(spf).cast("B"))
+    return FactorSieve(limit=limit, spf=table)
+
+
+_shared: FactorSieve | None = None
+
+
+def shared_sieve(limit: int = 200_000) -> FactorSieve:
+    """The process-wide sieve, covering at least 2..limit.
+
+    A request beyond the current sieve replaces it by one at least twice
+    as large, so a slowly growing request rebuilds it only a logarithmic
+    number of times; the sieve never shrinks.
+    """
+    global _shared
+    if _shared is None or _shared.limit < limit:
+        _shared = build_sieve(max(limit, 2 * _shared.limit if _shared else 2))
+    return _shared
 
 
 # ---------------------------------------------------------------------------
 # Square-free counting and summatory functions
 # ---------------------------------------------------------------------------
 
-def squarefree_flags(Z: int, sieve: FactorSieve) -> bytearray:
+def squarefree_flags(Z: int) -> bytearray:
     """flags[n] = 1 iff n is square-free, for 0 <= n <= Z (flags[0] = 0)."""
-    if Z > sieve.limit:
-        raise ValueError("Z exceeds sieve limit")
     flags = bytearray([1]) * (Z + 1)
     flags[0] = 0
-    for p in sieve.primes():
+    for p in primes_upto(math.isqrt(Z)).tolist():
         p2 = p * p
-        if p2 > Z:
-            break
         flags[p2::p2] = bytes(len(range(p2, Z + 1, p2)))
     return flags
 
 
-def sum_mu2_phi(Z: int, sieve: FactorSieve) -> int:
+def sum_mu2_phi(Z: int) -> int:
     """Exact Sum_{n <= Z} mu(n)^2 phi(n).
 
     Main term Z^2/(2 zeta(2)) * prod_p (1 - 1/(p^2+p)); the exact value is
     used to probe that asymptotic.
     """
-    flags = squarefree_flags(Z, sieve)
+    flags = squarefree_flags(Z)
     # phi over square-free n only, via a divide-out sieve kept exact.
     total = 0
-    spf = sieve.spf
+    spf = shared_sieve(Z).spf
     for n in range(1, Z + 1):
         if not flags[n]:
             continue
@@ -261,15 +288,15 @@ def sum_mu2_phi(Z: int, sieve: FactorSieve) -> int:
     return total
 
 
-def count_squarefree_twisted(Z: int, m: int, sieve: FactorSieve) -> int:
+def count_squarefree_twisted(Z: int, m: int) -> int:
     """Count of square-free N <= Z coprime to m (principal character twist).
 
     Main term Z * eta(m) / zeta(2).
     """
-    flags = squarefree_flags(Z, sieve)
+    flags = squarefree_flags(Z)
     if m == 1:
         return sum(flags)
-    ps = [p for p, _ in sieve.factor(m)]
+    ps = [p for p, _ in shared_sieve().factor(m)]
     total = 0
     for n in range(1, Z + 1):
         if flags[n] and all(n % p for p in ps):
@@ -277,16 +304,14 @@ def count_squarefree_twisted(Z: int, m: int, sieve: FactorSieve) -> int:
     return total
 
 
-def squarefree_in_class_count(X: int, Y: int, a: int, m: int,
-                              sieve: FactorSieve) -> int:
+def squarefree_in_class_count(X: int, Y: int, a: int, m: int) -> int:
     """Count of square-free N in [X, X+Y] with N congruent to a mod m.
 
     Main term (Y/zeta(2)) * eta(m)/phi(m) (Hooley's equidistribution).
     """
     if math.gcd(a, m) != 1:
         raise ValueError("a must be coprime to m")
-    if X + Y > sieve.limit:
-        raise ValueError("interval exceeds sieve limit")
+    sieve = shared_sieve(X + Y)
     lo = X + ((a - X) % m)
     total = 0
     for n in range(lo, X + Y + 1, m):

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as _np
 from scipy.special import erfc as _erfc
 
-from .arith import FactorSieve, kronecker
+from .arith import kronecker, shared_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"-{d} is not a negative quadratic discriminant")
 
 
-def _form_count(d: int, sieve: FactorSieve, primitive: bool):
+def _form_count(d: int, primitive: bool):
     """Enumerate reduced forms (a,b,c) of discriminant -d.
 
     Returns (count, n_ambiguous_1_0_1, n_ambiguous_1_1_1) where the last two
@@ -57,7 +57,7 @@ def _form_count(d: int, sieve: FactorSieve, primitive: bool):
     while b <= bmax:
         m = (d + b * b) // 4
         # divisors a of m with b <= a <= sqrt(m)
-        for a in _divisors_upto_sqrt(m, sieve):
+        for a in _divisors_upto_sqrt(m):
             if a < b or a == 0:
                 continue
             c = m // a
@@ -77,12 +77,12 @@ def _form_count(d: int, sieve: FactorSieve, primitive: bool):
     return count, w2, w3
 
 
-def _divisors_upto_sqrt(m: int, sieve: FactorSieve) -> list[int]:
+def _divisors_upto_sqrt(m: int) -> list[int]:
     """All divisors a of m with a*a <= m."""
     if m == 0:
         return []
     divs = [1]
-    for p, e in sieve.factor(m):
+    for p, e in shared_sieve().factor(m):
         pk, powers = 1, []
         for _ in range(e):
             pk *= p
@@ -92,13 +92,13 @@ def _divisors_upto_sqrt(m: int, sieve: FactorSieve) -> list[int]:
     return [a for a in divs if a <= r]
 
 
-def gauss_h_bruteforce(d: int, sieve: FactorSieve) -> int:
+def gauss_h_bruteforce(d: int) -> int:
     """Class number h(-d): number of primitive reduced forms of discriminant -d."""
-    count, _, _ = _form_count(d, sieve, primitive=True)
+    count, _, _ = _form_count(d, primitive=True)
     return count
 
 
-def hurwitz_H1(d: int, sieve: FactorSieve) -> Fraction:
+def hurwitz_H1(d: int) -> Fraction:
     """Hurwitz class number H_1(-d) by direct weighted form counting.
 
     Counts every reduced form of discriminant -d (imprimitive included),
@@ -110,14 +110,14 @@ def hurwitz_H1(d: int, sieve: FactorSieve) -> Fraction:
         raise ValueError("d must be positive")
     if (-d) % 4 in (2, 3):
         return Fraction(0)
-    count, w2, w3 = _form_count(d, sieve, primitive=False)
+    count, w2, w3 = _form_count(d, primitive=False)
     return Fraction(count) - Fraction(w2, 2) - Fraction(2 * w3, 3)
 
 
 _CERTIFIED_ABOVE = 10 ** 6
 
 
-def gauss_h_weighted(d: int, sieve: FactorSieve) -> Fraction:
+def gauss_h_weighted(d: int) -> Fraction:
     """h(-d) with the 1/3, 1/2 automorphism weights at d = 3, 4.
 
     This is the per-discriminant weight the trace formula uses.  d above
@@ -129,8 +129,8 @@ def gauss_h_weighted(d: int, sieve: FactorSieve) -> Fraction:
     if d == 4:
         return Fraction(1, 2)
     if d <= _CERTIFIED_ABOVE:
-        return Fraction(gauss_h_bruteforce(d, sieve))
-    return Fraction(gauss_h_certified(d, sieve))
+        return Fraction(gauss_h_bruteforce(d))
+    return Fraction(gauss_h_certified(d))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +239,11 @@ def load_table(path: str | os.PathLike) -> HurwitzTable:
 # Certified analytic route
 # ---------------------------------------------------------------------------
 
-def fundamental_decomposition(d: int, sieve: FactorSieve) -> tuple[int, int]:
+def fundamental_decomposition(d: int) -> tuple[int, int]:
     """Write -d = d0 * f^2 with d0 a fundamental discriminant; return (d0, f)."""
     _check_disc(d)
     s, f = 1, 1
-    for p, e in sieve.factor(d):
+    for p, e in shared_sieve().factor(d):
         if e % 2:
             s *= p
         f *= p ** (e // 2)
@@ -255,7 +255,7 @@ def fundamental_decomposition(d: int, sieve: FactorSieve) -> tuple[int, int]:
     return -4 * s, f // 2
 
 
-def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
+def gauss_h_certified(d: int) -> int:
     """Exact h(-d) via a smoothed character sum with a certified tail.
 
     For fundamental q = |d0|, theta-function symmetrization gives
@@ -269,7 +269,7 @@ def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
     conductor formula h(-d) = h(d0) f prod_{p|f}(1 - (d0|p)/p) / [unit index].
     """
     _check_disc(d)
-    d0, f = fundamental_decomposition(d, sieve)
+    d0, f = fundamental_decomposition(d)
     q = -d0
     if q == 3 or q == 4:
         h0 = 1
@@ -283,20 +283,21 @@ def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
                 u = 2.0
                 break
         n0 = math.isqrt(int(q * u / math.pi)) + 2
-        chi = _chi_table(d0, n0, sieve)
-        n = _np.arange(1, n0 + 1, dtype=_np.float64)
+        chi = _chi_table(d0, n0)
+        # only n with chi(n) != 0 contribute
+        n = _np.flatnonzero(chi) + 1
         x = n * math.sqrt(math.pi / q)
         terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * _erfc(x)
-        lval = float(_np.dot(chi, terms))
+        lval = float(_np.dot(chi[n - 1], terms))
         happrox = math.sqrt(q) / math.pi * lval
         h0 = round(happrox)
         if abs(happrox - h0) > 0.25:
-            h0 = gauss_h_bruteforce(q, sieve)
+            h0 = gauss_h_bruteforce(q)
     if f == 1:
         return h0
     num = f
     den = 1
-    for p, _ in sieve.factor(f):
+    for p, _ in shared_sieve().factor(f):
         num *= p - kronecker(d0, p)
         den *= p
     if q == 3:
@@ -311,8 +312,8 @@ def gauss_h_certified(d: int, sieve: FactorSieve) -> int:
 
 # Composites 4 <= n <= extent grouped by Omega(n) (prime factors counted
 # with multiplicity): one triple of int32 arrays (n, spf n, n / spf n), n
-# ascending, per Omega = 2, 3, ...  The grouping depends on n alone, so one
-# module-level copy serves every sieve.
+# ascending, per Omega = 2, 3, ...  The grouping depends on n alone, so it
+# outlives a replaced shared sieve.
 _omega_layers: tuple[int, list] = (1, [])
 
 
@@ -351,39 +352,35 @@ def _composite_layers(n0: int, spf):
     return cut
 
 
-def _chi_table(d0: int, n0: int, sieve: FactorSieve):
+def _chi_table(d0: int, n0: int):
     """chi_{d0}(n) = (d0|n) for n = 1..n0 as a float array of -1, 0, +1.
 
-    Within the sieve range the table is array code: odd primes take
+    Array code over the shared sieve, grown to cover n0: odd primes take
     Euler's criterion (d0|p) = d0^((p-1)/2) mod p, vectorized over the
     primes, p = 2 takes kronecker, and composites follow by complete
     multiplicativity, chi(n) = chi(spf n) chi(n / spf n), one Omega(n)
-    layer at a time so each entry is written once.  Beyond the sieve range
-    every entry is a reciprocity call.
+    layer at a time so each entry is written once.
     """
-    if n0 <= sieve.limit:
-        # p^2 must fit in int64 for the vectorized modular products
-        assert sieve.limit < 3 * 10 ** 9
-        spf = _np.frombuffer(sieve.spf, dtype=_np.int64)
-        chi = _np.zeros(n0 + 1, dtype=_np.float64)
-        chi[1:2] = 1.0  # chi(1), present when n0 >= 1
-        if n0 >= 2:
-            chi[2] = kronecker(d0, 2)
-        n = _np.arange(3, n0 + 1, 2, dtype=_np.int64)
-        odd = n[spf[n] == n]
-        if -2 ** 62 < d0 < 2 ** 62:
-            a = _np.int64(d0) % odd
-        else:
-            a = _np.array([d0 % p for p in odd.tolist()], dtype=_np.int64)
-        e = (odd - 1) >> 1
-        r = _np.ones_like(odd)
-        while e.any():
-            r = _np.where(e & 1, r * a % odd, r)
-            a = a * a % odd
-            e >>= 1
-        chi[odd] = _np.where(r == 1, 1.0, _np.where(r == 0, 0.0, -1.0))
-        for nk, pk, mk in _composite_layers(n0, spf):
-            chi[nk] = chi[pk] * chi[mk]
-        return chi[1:]
-    return _np.array([kronecker(d0, n) for n in range(1, n0 + 1)],
-                     dtype=_np.float64)
+    # p^2 must fit in int64 for the vectorized modular products
+    assert n0 < 3 * 10 ** 9
+    spf = _np.frombuffer(shared_sieve(n0).spf, dtype=_np.int64)
+    chi = _np.zeros(n0 + 1, dtype=_np.float64)
+    chi[1:2] = 1.0  # chi(1), present when n0 >= 1
+    if n0 >= 2:
+        chi[2] = kronecker(d0, 2)
+    n = _np.arange(3, n0 + 1, 2, dtype=_np.int64)
+    odd = n[spf[n] == n]
+    if -2 ** 62 < d0 < 2 ** 62:
+        a = _np.int64(d0) % odd
+    else:
+        a = _np.array([d0 % p for p in odd.tolist()], dtype=_np.int64)
+    e = (odd - 1) >> 1
+    r = _np.ones_like(odd)
+    while e.any():
+        r = _np.where(e & 1, r * a % odd, r)
+        a = a * a % odd
+        e >>= 1
+    chi[odd] = _np.where(r == 1, 1.0, _np.where(r == 0, 0.0, -1.0))
+    for nk, pk, mk in _composite_layers(n0, spf):
+        chi[nk] = chi[pk] * chi[mk]
+    return chi[1:]

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import build_sieve
 from .classnumbers import hurwitz_sieve, load_table, save_table
 from .constants import euler_constant, q_weighted_sums, qsqrt_product
 from .density import (DensityConfig, dyadic_closed_form_constants,
@@ -208,8 +207,6 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_multfns(args: argparse.Namespace) -> int:
-    sieve = build_sieve(max(args.mmax, args.gmax, 4 * args.dmax * args.dmax,
-                            100))
     rows: list[list[object]] = []
     ok = True
     for P in (5, 7, 11, 101):
@@ -217,7 +214,7 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
             for m in range(1, args.mmax + 1):
                 if m % P == 0 or m % 4 == 2 or (m % 8 == 4):
                     continue
-                good = theta(r, m, P, sieve) == theta_bruteforce(r, m, P)
+                good = theta(r, m, P) == theta_bruteforce(r, m, P)
                 ok &= good
                 if not good:
                     rows.append(["theta", r, m, P, "fail"])
@@ -228,11 +225,11 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
         for d in range(1, args.dmax + 1):
             if not is_admissible(r, d):
                 continue
-            for g in smooth_square_gs(d, args.gmax, sieve):
+            for g in smooth_square_gs(d, args.gmax):
                 for P in (7, 11):
                     try:
-                        closed = phi_circ(r, d, g, P, sieve)
-                        brute = phi_circ_bruteforce(r, d, g, P, sieve)
+                        closed = phi_circ(r, d, g, P)
+                        brute = phi_circ_bruteforce(r, d, g, P)
                     except ValueError:
                         continue  # the defining sum needs P coprime to d
                     good = closed == brute

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import FactorSieve
+from .arith import primes_upto
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,8 @@ _KINDS: dict[str, tuple[float, object, float]] = {
 }
 
 
-def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n (simple numpy sieve; fine up to ~10^8)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+# zeta(2) = pi^2/6 in closed form (Euler).
+ZETA2 = math.pi ** 2 / 6
 
 
 @lru_cache(maxsize=None)
@@ -97,20 +89,9 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
     logs = math.fsum(math.log1p(f(int(p))) for p in primes_upto(pmax))
     value = scale * math.exp(logs)
     if kind == "Delta":
-        value /= zeta(2)
+        value /= ZETA2
     tail = abs(value) * math.expm1(2 * c / pmax)
     return EulerProductValue(value=value, pmax=pmax, tail_bound=tail)
-
-
-def zeta(n: int) -> float:
-    """zeta at an integer >= 2 (direct series with integral tail bound folded
-    in far below float epsilon for the n used here)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    N = 10 ** 7 if n == 2 else 10 ** 5
-    s = math.fsum(k ** -n for k in range(N, 0, -1))
-    # Euler-Maclaurin tail: integral + half endpoint
-    return s + N ** (1 - n) / (n - 1) - 0.5 * N ** -n
 
 
 def zeta_3_2_partial(S: int) -> tuple[float, float]:
@@ -139,14 +120,14 @@ def q_table(T: int) -> np.ndarray:
     return q
 
 
-def qcount_partial(T: int, sieve: FactorSieve | None = None) -> float:
+def qcount_partial(T: int) -> float:
     """Partial sum of Q(d) for d <= T (exact rationals for tiny T, float
     table otherwise).  Approaches beta/alpha - Delta/T."""
     if T < 1:
         raise ValueError("T >= 1 required")
-    if T <= 64 and sieve is not None:
+    if T <= 64:
         from .multfns import Q
-        return float(sum(Q(d, sieve) for d in range(1, T + 1)))
+        return float(sum(Q(d) for d in range(1, T + 1)))
     return float(q_table(T).sum())
 
 

@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import jv
 
-from .arith import build_sieve
 from .constants import euler_constant
 from .multfns import Q, nu
 
@@ -49,19 +48,14 @@ class DensityConfig:
             raise ValueError("quad_tol must be positive")
 
 
-@lru_cache(maxsize=1)
-def _small_sieve():
-    return build_sieve(20000)
-
-
 @lru_cache(maxsize=None)
 def _nu_float(r: int) -> float:
-    return float(nu(r, _small_sieve()))
+    return float(nu(r))
 
 
 @lru_cache(maxsize=None)
 def _q_exact(d: int) -> Fraction:
-    return Q(d, _small_sieve())
+    return Q(d)
 
 
 def _sign(k: int) -> float:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactorSieve, kronecker
+from .arith import kronecker, shared_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +98,7 @@ def _check_v2(n: int, name: str) -> int:
     return v
 
 
-def theta(r: int, m: int, P: int, sieve: FactorSieve) -> int:
+def theta(r: int, m: int, P: int) -> int:
     """Closed form of theta_r(m) = sum_a (a|m)((a r^2 - 4P)|m).
 
     Multiplicative in m; requires v_2(m) not in {1, 2} and gcd(m, P) = 1
@@ -109,7 +109,7 @@ def theta(r: int, m: int, P: int, sieve: FactorSieve) -> int:
     if math.gcd(m, P) != 1:
         raise ValueError("closed form needs gcd(m, P) = 1; use theta_bruteforce")
     result = 1
-    for p, a in sieve.factor(m):
+    for p, a in shared_sieve().factor(m):
         if p == 2:
             if r % 2 == 0:
                 return 0
@@ -144,7 +144,7 @@ def _is_square(n: int) -> bool:
     return s * s == n
 
 
-def _g_divides_d_infinity(g: int, d: int, sieve: FactorSieve) -> bool:
+def _g_divides_d_infinity(g: int, d: int) -> bool:
     while g > 1:
         e = math.gcd(g, d)
         if e == 1:
@@ -154,19 +154,19 @@ def _g_divides_d_infinity(g: int, d: int, sieve: FactorSieve) -> bool:
     return True
 
 
-def phi_circ(r: int, d: int, g: int, P: int, sieve: FactorSieve) -> int:
+def phi_circ(r: int, d: int, g: int, P: int) -> int:
     """Closed form of phi^o_{r,d}(g) per the five-case 2-adic table.
 
     Zero for non-admissible (r, d); requires g | d^infinity and
     v_2(g) not in {1, 2}.  P-independent.
     """
     _check_v2(g, "g")
-    if not _g_divides_d_infinity(g, d, sieve):
+    if not _g_divides_d_infinity(g, d):
         raise ValueError("g must divide a power of d")
     if not is_admissible(r, d):
         return 0
     sq = 1 if _is_square(g) else 0
-    phi_g = sieve.euler_phi(g)
+    phi_g = shared_sieve().euler_phi(g)
     if d % 2 == 1:
         return phi_g * sq
     if d % 4 == 2:
@@ -178,11 +178,10 @@ def phi_circ(r: int, d: int, g: int, P: int, sieve: FactorSieve) -> int:
     return 2 * phi_g * sq  # 4 | d
 
 
-def phi_circ_bruteforce(r: int, d: int, g: int, P: int,
-                        sieve: FactorSieve) -> int:
+def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
     """Defining sum over a mod d^2 g with a mod d^2 in the residue set."""
     _check_v2(g, "g")
-    if not _g_divides_d_infinity(g, d, sieve):
+    if not _g_divides_d_infinity(g, d):
         raise ValueError("g must divide a power of d")
     rs = remainder_set(r, d, P, enforce_regime=False)
     if not rs.admissible:
@@ -203,28 +202,28 @@ def phi_circ_bruteforce(r: int, d: int, g: int, P: int,
 # nu, Q, and the triple sum
 # ---------------------------------------------------------------------------
 
-def Q(d: int, sieve: FactorSieve) -> Fraction:
+def Q(d: int) -> Fraction:
     """Q(d) = mu^2(d) prod_{p|d} p^2/(p^4 - 2p^2 - p + 1)."""
     result = Fraction(1)
-    for p, e in sieve.factor(d):
+    for p, e in shared_sieve().factor(d):
         if e > 1:
             return Fraction(0)
         result *= Fraction(p * p, p ** 4 - 2 * p * p - p + 1)
     return result
 
 
-def nu(r: int, sieve: FactorSieve) -> Fraction:
+def nu(r: int) -> Fraction:
     """nu(r) = prod_{p|r} (1 + p^2/(p^4 - 2p^2 - p + 1)) = sum_{d|r} Q(d)."""
     result = Fraction(1)
-    for p, _ in sieve.factor(r):
+    for p, _ in shared_sieve().factor(r):
         result *= 1 + Fraction(p * p, p ** 4 - 2 * p * p - p + 1)
     return result
 
 
-def smooth_square_gs(d: int, bound: int, sieve: FactorSieve) -> list[int]:
+def smooth_square_gs(d: int, bound: int) -> list[int]:
     """All squares g | d^infinity with g <= bound, ascending."""
     gs = [1]
-    for p, _ in sieve.factor(d):
+    for p, _ in shared_sieve().factor(d):
         step = p * p
         new = []
         for g in gs:
@@ -236,7 +235,7 @@ def smooth_square_gs(d: int, bound: int, sieve: FactorSieve) -> list[int]:
     return sorted(gs)
 
 
-def _phi_circ_ext(r: int, d: int, g: int, sieve: FactorSieve) -> int:
+def _phi_circ_ext(r: int, d: int, g: int) -> int:
     """phi_circ's closed-form table applied formally to any square g | d^inf.
 
     The defining sum restricts v_2(g) away from {1, 2}, but the triple sum
@@ -247,7 +246,7 @@ def _phi_circ_ext(r: int, d: int, g: int, sieve: FactorSieve) -> int:
         return 0
     if not _is_square(g):
         return 0
-    phi_g = sieve.euler_phi(g)
+    phi_g = shared_sieve().euler_phi(g)
     if d % 2 == 1 or (d % 4 == 2 and g % 2 == 1):
         return phi_g
     if d % 4 == 2 and r % 4 == 2:
@@ -255,7 +254,7 @@ def _phi_circ_ext(r: int, d: int, g: int, sieve: FactorSieve) -> int:
     return 2 * phi_g
 
 
-def _theta_factor(m: int, r: int, sieve: FactorSieve) -> float:
+def _theta_factor(m: int, r: int) -> float:
     """theta_r(m) / (m^2 prod_{p|m}(1 - 1/p^2)), closed form, P-free.
 
     The 2-adic factor (-1)^a 2^(a-1) is applied for every a >= 1 (the
@@ -264,7 +263,7 @@ def _theta_factor(m: int, r: int, sieve: FactorSieve) -> float:
     """
     num = 1
     den = m * m
-    for p, a in sieve.factor(m):
+    for p, a in shared_sieve().factor(m):
         if p == 2:
             if r % 2 == 0:
                 return 0.0
@@ -279,8 +278,7 @@ def _theta_factor(m: int, r: int, sieve: FactorSieve) -> float:
     return num / den
 
 
-def theta_sum_partial(r: int, Z: int, Zprime: int, P: int,
-                      sieve: FactorSieve) -> float:
+def theta_sum_partial(r: int, Z: int, Zprime: int, P: int) -> float:
     """Partial triple sum of (eta/phi)(d^2 m g) theta_r(m) phi^o(g) / (mgd)
     over admissible d <= Z, (m, d) = 1, g | d^infinity, mg <= Zprime.
 
@@ -293,12 +291,12 @@ def theta_sum_partial(r: int, Z: int, Zprime: int, P: int,
     for d in range(1, Z + 1):
         if not is_admissible(r, d):
             continue
-        dps = [p for p, _ in sieve.factor(d)]
+        dps = [p for p, _ in shared_sieve().factor(d)]
         dfac = 1.0 / d ** 3
         for p in dps:
             dfac /= 1.0 - 1.0 / (p * p)
-        for g in smooth_square_gs(d, Zprime, sieve):
-            pg = _phi_circ_ext(r, d, g, sieve)
+        for g in smooth_square_gs(d, Zprime):
+            pg = _phi_circ_ext(r, d, g)
             if pg == 0:
                 continue
             gfac = dfac * pg / (g * g)
@@ -306,6 +304,6 @@ def theta_sum_partial(r: int, Z: int, Zprime: int, P: int,
             for m in range(1, Zprime // g + 1):
                 if any(m % p == 0 for p in dps):
                     continue
-                acc += _theta_factor(m, r, sieve)
+                acc += _theta_factor(m, r)
             total += gfac * acc
     return total

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .arith import build_sieve
+from .arith import shared_sieve
 from .constants import q_table, qsqrt_sum_upper_bound, zeta_3_2_partial
 from .multfns import Q
 
@@ -36,11 +36,7 @@ DEFAULT_OFFSETS = (0.0, 0.5, 0.162)
 REFERENCE_QSQRT_BOUND = 3.0907 + 0.00004
 
 
-@lru_cache(maxsize=1)
-def _sieve():
-    return build_sieve(10000)
-
-
+@cache
 def m_max_bounds() -> tuple[float, float]:
     """(lower, upper) bracket for M_max = (sqrt(2)/2) zeta(3/2), the peak
     of the single-term profile |f(0)|."""
@@ -52,9 +48,6 @@ def m_max_bounds() -> tuple[float, float]:
     z = partial + tail
     half_sqrt2 = math.sqrt(2.0) / 2.0
     return half_sqrt2 * (z - 1e-9), half_sqrt2 * (z + 1e-9)
-
-
-M_MAX = m_max_bounds()[1]
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class SignCheckConfig:
     def __post_init__(self) -> None:
         if not self.D:
             raise ValueError("truncation set must be nonempty")
-        sv = _sieve()
+        sv = shared_sieve()
         for d in self.D:
             if d < 1 or not sv.is_squarefree(d):
                 raise ValueError(f"{d} is not square-free")
@@ -134,8 +127,7 @@ def f_polylog(x: float, S: int) -> tuple[float, float]:
 
 @lru_cache(maxsize=8)
 def _weights_for(D: tuple[int, ...]) -> tuple[float, ...]:
-    sv = _sieve()
-    return tuple(float(Q(d, sv)) * math.sqrt(d) for d in D)
+    return tuple(float(Q(d)) * math.sqrt(d) for d in D)
 
 
 def M_D(T: float, cfg: SignCheckConfig) -> tuple[float, float]:
@@ -165,7 +157,7 @@ def error_budget(D: tuple[int, ...], full_sum_upper: float) -> float:
     diff = full_sum_upper - inside
     if diff < 0:
         raise ValueError("upper bound below the in-set sum; not a bound")
-    return diff * M_MAX
+    return diff * m_max_bounds()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,17 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .arith import FactorSieve, build_sieve, is_prime
+from .arith import is_prime, shared_sieve
 from .classnumbers import HurwitzTable, gauss_h_weighted
 from .density import DensityConfig, chebyshev_U, dyadic_density, \
     murmuration_density
-
-
-@lru_cache(maxsize=1)
-def _default_sieve() -> FactorSieve:
-    return build_sieve(200000)
 
 
 @dataclass(frozen=True)
@@ -89,7 +83,7 @@ class TraceReport:
 _h_cache: dict[int, Fraction] = {}
 
 
-def _class_number(m: int, sieve: FactorSieve) -> Fraction:
+def _class_number(m: int) -> Fraction:
     """Weighted h(-m), zero when -m is not a discriminant, cached.
 
     Per-value counting (certified analytic rounding beyond 10^6).
@@ -98,14 +92,14 @@ def _class_number(m: int, sieve: FactorSieve) -> Fraction:
         return Fraction(0)
     got = _h_cache.get(m)
     if got is None:
-        got = _h_cache[m] = gauss_h_weighted(m, sieve)
+        got = _h_cache[m] = gauss_h_weighted(m)
     return got
 
 
-def _square_divisors(m: int, sieve: FactorSieve) -> list[int]:
+def _square_divisors(m: int) -> list[int]:
     """All d >= 1 with d^2 | m."""
     divs = [1]
-    for p, e in sieve.factor(m):
+    for p, e in shared_sieve().factor(m):
         if e < 2:
             continue
         pk, powers = 1, []
@@ -116,29 +110,27 @@ def _square_divisors(m: int, sieve: FactorSieve) -> list[int]:
     return sorted(divs)
 
 
-def _hurwitz(N: int, m: int, sieve: FactorSieve,
-             table: HurwitzTable | None) -> Fraction:
+def _hurwitz(N: int, m: int, table: HurwitzTable | None) -> Fraction:
     """H_1(-N m) for a trace term m = 4P - r^2 N: one table read, or the
     sum of h(-N m/f^2) over f^2 | m (see the module docstring)."""
     if table is not None:
         return table[N * m]
-    return sum((_class_number(N * m // (f * f), sieve)
-                for f in _square_divisors(m, sieve)), Fraction(0))
+    return sum((_class_number(N * m // (f * f))
+                for f in _square_divisors(m)), Fraction(0))
 
 
-def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
-               sieve: FactorSieve | None = None) -> Fraction | float:
+def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None
+               ) -> Fraction | float:
     """Trace of the composed Hecke/Fricke operator at level N, weight k.
 
     Exact rational (an integer, up to the formula's bounded correction)
     for k = 2; float for k > 2, where the Chebyshev factor at an
     irrational argument forecloses exactness.
     """
-    sieve = sieve or _default_sieve()
     N, P, k = params.N, params.P, params.k
-    if not sieve.is_squarefree(N):
+    if not shared_sieve().is_squarefree(N):
         raise ValueError("N must be square-free")
-    exact = _hurwitz(N, 4 * P, sieve, table) / 2
+    exact = _hurwitz(N, 4 * P, table) / 2
     if k == 2:
         exact -= P
     sign = -1 if k % 4 == 0 else 1
@@ -149,7 +141,7 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
         m = 4 * P - r * r * N
         if m <= 0:
             continue
-        inner = _hurwitz(N, m, sieve, table)
+        inner = _hurwitz(N, m, table)
         if k == 2:
             osc_exact += inner
         else:
@@ -160,13 +152,11 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None,
     return float(exact) + sign * osc_float
 
 
-def dimension_main(N: int, k: int, sieve: FactorSieve | None = None
-                   ) -> Fraction:
+def dimension_main(N: int, k: int) -> Fraction:
     """Main term (k-1) phi(N) / 12 of the newform-space dimension."""
     if N < 1 or k < 2 or k % 2:
         raise ValueError("need N >= 1 and even k >= 2")
-    sieve = sieve or _default_sieve()
-    return Fraction((k - 1) * sieve.euler_phi(N), 12)
+    return Fraction((k - 1) * shared_sieve().euler_phi(N), 12)
 
 
 # ---------------------------------------------------------------------------
@@ -174,31 +164,29 @@ def dimension_main(N: int, k: int, sieve: FactorSieve | None = None
 # ---------------------------------------------------------------------------
 
 def _average_over(levels: list[int], P: int, k: int,
-                  table: HurwitzTable | None,
-                  sieve: FactorSieve) -> tuple[float, float]:
+                  table: HurwitzTable | None) -> tuple[float, float]:
     """(numerator, denominator) accumulated in fixed ascending-N order."""
     num_exact = Fraction(0)
     num_float = 0.0
     den = Fraction(0)
     for N in levels:
-        t = trace_TpWN(TraceParams(N=N, P=P, k=k), table, sieve)
+        t = trace_TpWN(TraceParams(N=N, P=P, k=k), table)
         if k == 2:
             num_exact += t
         else:
             num_float += t
-        den += dimension_main(N, k, sieve)
+        den += dimension_main(N, k)
     num = float(num_exact) if k == 2 else num_float
     return num, float(den)
 
 
-def _square_free_levels(lo: int, hi: int, P: int,
-                        sieve: FactorSieve) -> list[int]:
+def _square_free_levels(lo: int, hi: int, P: int) -> list[int]:
+    sieve = shared_sieve()
     return [N for N in range(lo, hi + 1)
             if N % P and sieve.is_squarefree(N)]
 
 
-def window_density(cfg: DensityConfig, P: int, X: int, Y: int,
-                   sieve: FactorSieve) -> float:
+def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
     """M_k(P/N) averaged over the levels N of interval_average(X, Y, P, k),
     each weighted by phi(N) as the dimension main term weights its trace.
 
@@ -206,8 +194,8 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int,
     the window.
     """
     num = den = 0.0
-    for N in _square_free_levels(X, X + Y, P, sieve):
-        w = float(sieve.euler_phi(N))
+    for N in _square_free_levels(X, X + Y, P):
+        w = float(shared_sieve().euler_phi(N))
         num += w * murmuration_density(cfg, P / N)
         den += w
     return num / den
@@ -215,16 +203,14 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int,
 
 def interval_average(X: int, Y: int, P: int, k: int,
                      table: HurwitzTable | None = None,
-                     cfg: DensityConfig | None = None,
-                     sieve: FactorSieve | None = None) -> TraceReport:
+                     cfg: DensityConfig | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, X+Y] with P
     excluded, against the predicted density M_k(P/X)."""
     if Y >= X:
         raise ValueError("need Y < X")
-    sieve = sieve or _default_sieve()
     cfg = cfg or DensityConfig(k=k)
-    levels = _square_free_levels(X, X + Y, P, sieve)
-    num, den = _average_over(levels, P, k, table, sieve)
+    levels = _square_free_levels(X, X + Y, P)
+    num, den = _average_over(levels, P, k, table)
     predicted = murmuration_density(cfg, P / X)
     average = num / den if den else math.nan
     return TraceReport(kind="interval", X=X, span=float(Y), P=P, k=k,
@@ -235,16 +221,14 @@ def interval_average(X: int, Y: int, P: int, k: int,
 
 def dyadic_average(X: int, c: float, P: int, k: int,
                    table: HurwitzTable | None = None,
-                   cfg: DensityConfig | None = None,
-                   sieve: FactorSieve | None = None) -> TraceReport:
+                   cfg: DensityConfig | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, cX], against the
     dyadic integral of the density."""
     if c <= 1:
         raise ValueError("c must exceed 1")
-    sieve = sieve or _default_sieve()
     cfg = cfg or DensityConfig(k=k)
-    levels = _square_free_levels(X, int(c * X), P, sieve)
-    num, den = _average_over(levels, P, k, table, sieve)
+    levels = _square_free_levels(X, int(c * X), P)
+    num, den = _average_over(levels, P, k, table)
     predicted = dyadic_density(k, c, P / X, cfg)
     average = num / den if den else math.nan
     return TraceReport(kind="dyadic", X=X, span=c, P=P, k=k,

@@ -11,11 +11,11 @@ import random
 import time
 from fractions import Fraction
 
-from murmurations.arith import (build_sieve, is_prime,
+from murmurations.arith import (is_prime, shared_sieve,
                                 squarefree_in_class_count, sum_mu2_phi)
 from murmurations.classnumbers import gauss_h_certified, hurwitz_sieve
 from murmurations.constants import (euler_constant, q_weighted_sums,
-                                    qsqrt_product, zeta)
+                                    qsqrt_product, ZETA2)
 from murmurations.density import (DensityConfig, dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
                                   murmuration_density,
@@ -27,9 +27,6 @@ from murmurations.signcheck import (SignCheckConfig, grid_verify,
                                     second_peak_probe)
 from murmurations.traceformula import TraceParams, interval_average, \
     trace_TpWN, window_density
-
-SIEVE = build_sieve(200000)
-
 
 def _report(n, ok, detail):
     print(f"criterion {n:2d}: {'PASS' if ok else 'FAIL'} — {detail}")
@@ -44,7 +41,7 @@ def test_criterion_01_class_number_oracle_equivalence():
     def h(q):
         got = cache.get(q)
         if got is None:
-            got = cache[q] = Fraction(gauss_h_certified(q, SIEVE))
+            got = cache[q] = Fraction(gauss_h_certified(q))
         return got
 
     mismatches = 0
@@ -74,9 +71,9 @@ def test_criterion_02_k2_integrality():
     while checked < 200:
         N = rng.randint(1, 2000)
         P = rng.choice(primes)
-        if N % P == 0 or not SIEVE.is_squarefree(N):
+        if N % P == 0 or not shared_sieve().is_squarefree(N):
             continue
-        t = trace_TpWN(TraceParams(N=N, P=P, k=2), sieve=SIEVE)
+        t = trace_TpWN(TraceParams(N=N, P=P, k=2))
         if not (isinstance(t, Fraction) and t.denominator == 1):
             nonint += 1
         checked += 1
@@ -94,21 +91,21 @@ def test_criterion_03_multiplicative_function_oracles():
             for m in range(1, 501):
                 if m % P == 0 or m % 4 == 2 or m % 8 == 4:
                     continue
-                if theta(r, m, P, SIEVE) != theta_bruteforce(r, m, P):
+                if theta(r, m, P) != theta_bruteforce(r, m, P):
                     bad += 1
     for r in range(1, 41):
         for d in range(1, 41):
             if not is_admissible(r, d):
                 continue
-            for g in smooth_square_gs(d, 10 ** 4, SIEVE):
+            for g in smooth_square_gs(d, 10 ** 4):
                 for P in (7, 11):
                     if d % P == 0:
                         continue
                     try:
-                        closed = phi_circ(r, d, g, P, SIEVE)
+                        closed = phi_circ(r, d, g, P)
                     except ValueError:
                         continue
-                    if closed != phi_circ_bruteforce(r, d, g, P, SIEVE):
+                    if closed != phi_circ_bruteforce(r, d, g, P):
                         bad += 1
     elapsed = time.time() - t0
     ok = bad == 0 and elapsed <= 120
@@ -122,8 +119,8 @@ def test_criterion_04_triple_sum_convergence():
     worst = 0.0
     for P in (10007, 100003):
         for r in (1, 2, 3, 4, 6):
-            got = theta_sum_partial(r, 500, 500, P, SIEVE)
-            worst = max(worst, abs(got - B * float(nu(r, SIEVE))))
+            got = theta_sum_partial(r, 500, 500, P)
+            worst = max(worst, abs(got - B * float(nu(r))))
     elapsed = time.time() - t0
     ok = worst <= 0.02 and elapsed <= 60
     assert _report(4, ok, f"partial triple sums vs B*nu(r): worst "
@@ -193,7 +190,7 @@ def test_criterion_08_desk_scale_empirical_murmuration():
         for P in primes:
             rep = interval_average(X, Y, P, k, cfg=cfg)
             tol = max(0.1, 0.15 * abs(rep.predicted))
-            window = window_density(cfg, P, X, Y, SIEVE)
+            window = window_density(cfg, P, X, Y)
             good = abs(rep.residual) <= tol
             if not good:
                 failures.append((k, P))
@@ -251,11 +248,10 @@ def test_criterion_10_smoothed_limits():
 
 def test_criterion_11_squarefree_main_terms():
     t0 = time.time()
-    big = build_sieve(1_150_000)
     Z = 10 ** 6
     dimc = euler_constant("dimC").value
-    main = Z * Z / (2 * zeta(2)) * dimc
-    dev1 = abs(sum_mu2_phi(Z, big) / main - 1.0)
+    main = Z * Z / (2 * ZETA2) * dimc
+    dev1 = abs(sum_mu2_phi(Z) / main - 1.0)
     rng = random.Random(1486)
     X, Y = 10 ** 6, 10 ** 5
     worst = 0.0
@@ -265,8 +261,9 @@ def test_criterion_11_squarefree_main_terms():
         a = rng.randint(1, m - 1)
         if math.gcd(a, m) != 1:
             continue
-        count = squarefree_in_class_count(X, Y, a, m, big)
-        expect = Y / zeta(2) * float(big.eta(m)) / big.euler_phi(m)
+        count = squarefree_in_class_count(X, Y, a, m)
+        expect = (Y / ZETA2 * float(shared_sieve().eta(m))
+                  / shared_sieve().euler_phi(m))
         worst = max(worst, abs(count / expect - 1.0))
         done += 1
     elapsed = time.time() - t0

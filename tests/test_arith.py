@@ -1,15 +1,19 @@
 """Arithmetic kernel against independent oracles (sympy, brute force)."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations import arith
 from murmurations.arith import (build_sieve, count_squarefree_twisted,
-                                is_prime, kronecker, squarefree_flags,
-                                squarefree_in_class_count, sum_mu2_phi)
+                                is_prime, kronecker, shared_sieve,
+                                squarefree_flags, squarefree_in_class_count,
+                                sum_mu2_phi)
 
 SIEVE = build_sieve(100000)
 
@@ -50,6 +54,36 @@ def test_is_prime_matches_sympy_large(n):
     assert is_prime(n) == sympy.isprime(n)
 
 
+def _spf_oracle(n):
+    return next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+
+
+def test_build_sieve_matches_trial_division():
+    for L in (2, 3, 4, 10, 1000, 65537):
+        spf = build_sieve(L).spf
+        assert spf.typecode == "q" and len(spf) == L + 1
+        assert spf[0] == 0 and spf[1] == 1
+        assert all(spf[n] == _spf_oracle(n) for n in range(2, L + 1)), L
+
+
+def test_shared_sieve_grows_and_never_shrinks(monkeypatch):
+    monkeypatch.setattr(arith, "_shared", None)
+    first = shared_sieve(5000)
+    assert first.limit >= 5000
+    assert shared_sieve(5000) is first and shared_sieve(10) is first
+    grown = shared_sieve(first.limit + 1)
+    assert grown is not first and grown.limit > first.limit
+    assert shared_sieve(first.limit) is grown
+    assert shared_sieve(2) is grown
+
+
+@given(st.integers(100_001, 10 ** 13))
+@settings(max_examples=50)
+def test_factor_beyond_limit_matches_sympy(n):
+    # trial division by the sieve's primes, then Miller-Rabin / Pollard rho
+    assert SIEVE.factor(n) == sorted(sympy.factorint(n).items())
+
+
 @given(st.integers(2, 99999))
 def test_factor_reconstructs(n):
     prod = 1
@@ -71,7 +105,7 @@ def test_squarefree_flag_consistent(n):
 
 
 def test_squarefree_flags_bulk():
-    flags = squarefree_flags(5000, SIEVE)
+    flags = squarefree_flags(5000)
     for n in range(1, 5001):
         assert bool(flags[n]) == SIEVE.is_squarefree(n)
 
@@ -82,14 +116,14 @@ def test_sum_mu2_phi_bruteforce():
     for Z in (1, 10, 137, 2000):
         brute = sum(SIEVE.euler_phi(n) for n in range(1, Z + 1)
                     if SIEVE.is_squarefree(n))
-        assert sum_mu2_phi(Z, SIEVE) == brute
+        assert sum_mu2_phi(Z) == brute
 
 
 def test_count_squarefree_twisted_bruteforce():
     for Z, m in ((100, 1), (500, 6), (1234, 35), (2000, 30)):
         brute = sum(1 for n in range(1, Z + 1)
                     if SIEVE.is_squarefree(n) and math.gcd(n, m) == 1)
-        assert count_squarefree_twisted(Z, m, SIEVE) == brute
+        assert count_squarefree_twisted(Z, m) == brute
 
 
 @given(st.integers(2, 40), st.integers(100, 3000))
@@ -101,10 +135,35 @@ def test_squarefree_in_class_bruteforce(m, X):
             continue
         brute = sum(1 for n in range(X, X + Y + 1)
                     if n % m == a and SIEVE.is_squarefree(n))
-        assert squarefree_in_class_count(X, Y, a, m, SIEVE) == brute
+        assert squarefree_in_class_count(X, Y, a, m) == brute
         break
 
 
 def test_squarefree_in_class_requires_coprime():
     with pytest.raises(ValueError):
-        squarefree_in_class_count(100, 50, 2, 4, SIEVE)
+        squarefree_in_class_count(100, 50, 2, 4)
+
+
+# -- sieve ownership ----------------------------------------------------------
+
+def test_only_arith_builds_or_takes_a_sieve():
+    """The factor sieve is arith's business: elsewhere in the package no
+    code calls build_sieve and no function declares a `sieve` parameter."""
+    src = Path(arith.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        text = path.read_text()
+        if "build_sieve(" in text:
+            offenders.append(f"{path.name}: calls build_sieve")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in (*a.posonlyargs, *a.args,
+                                         *a.kwonlyargs)]
+                if "sieve" in names:
+                    offenders.append(f"{path.name}:{node.lineno}: takes "
+                                     "a sieve parameter")
+    assert not offenders, offenders

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations.arith import build_sieve, kronecker
+from murmurations import arith
+from murmurations.arith import build_sieve, kronecker, shared_sieve
 from murmurations.classnumbers import (_chi_table, fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
                                        gauss_h_weighted, hurwitz_H1,
                                        hurwitz_sieve, load_table, save_table)
-
-SIEVE = build_sieve(200000)
 
 # Textbook values: class numbers of the first imaginary quadratic fields.
 KNOWN_H = {3: 1, 4: 1, 7: 1, 8: 1, 11: 1, 15: 2, 19: 1, 20: 2, 23: 3,
@@ -33,27 +32,27 @@ def _valid_ds(lo, hi):
 
 def test_known_class_numbers():
     for d, h in KNOWN_H.items():
-        assert gauss_h_bruteforce(d, SIEVE) == h
+        assert gauss_h_bruteforce(d) == h
 
 
 def test_known_weighted_tabulation():
     for d, v in KNOWN_H1.items():
-        assert hurwitz_H1(d, SIEVE) == v
+        assert hurwitz_H1(d) == v
 
 
 def test_weighted_gauss_automorphism_weights():
-    assert gauss_h_weighted(3, SIEVE) == Fraction(1, 3)
-    assert gauss_h_weighted(4, SIEVE) == Fraction(1, 2)
-    assert gauss_h_weighted(7, SIEVE) == 1
+    assert gauss_h_weighted(3) == Fraction(1, 3)
+    assert gauss_h_weighted(4) == Fraction(1, 2)
+    assert gauss_h_weighted(7) == 1
 
 
 def test_invalid_discriminants_rejected():
     for d in (-3, 0):
         with pytest.raises(ValueError):
-            hurwitz_H1(d, SIEVE)
+            hurwitz_H1(d)
     # -d = 2, 3 mod 4 is not a discriminant: the tabulated value is zero
     for d in (1, 2, 5, 6):
-        assert hurwitz_H1(d, SIEVE) == 0
+        assert hurwitz_H1(d) == 0
 
 
 def test_square_divisor_reconstruction_small():
@@ -63,16 +62,16 @@ def test_square_divisor_reconstruction_small():
         f = 1
         while f * f <= d:
             if d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 3):
-                total += gauss_h_weighted(d // (f * f), SIEVE)
+                total += gauss_h_weighted(d // (f * f))
             f += 1
-        assert hurwitz_H1(d, SIEVE) == total
+        assert hurwitz_H1(d) == total
 
 
 def test_sieve_matches_per_value():
     for dmin, dmax in ((3, 3000), (10 ** 5, 10 ** 5 + 2000)):
         table = hurwitz_sieve(dmin, dmax)
         for d in range(dmin, dmax + 1):
-            assert table[d] == hurwitz_H1(d, SIEVE)
+            assert table[d] == hurwitz_H1(d)
 
 
 def test_table_round_trip(tmp_path):
@@ -112,25 +111,24 @@ def test_table_truncated_payload_rejected(tmp_path):
 
 def test_fundamental_decomposition():
     for d in _valid_ds(3, 3000):
-        d0, f = fundamental_decomposition(d, SIEVE)
+        d0, f = fundamental_decomposition(d)
         assert d0 < 0 and -d0 * f * f == d
         assert d0 % 4 in (0, 1)
         # fundamental part is invariant: re-decomposing gives conductor 1
-        assert fundamental_decomposition(-d0, SIEVE) == (d0, 1)
+        assert fundamental_decomposition(-d0) == (d0, 1)
 
 
 @given(st.integers(0, 12500), st.sampled_from([3, 4]))
 @settings(max_examples=60, deadline=None)
 def test_certified_matches_bruteforce(i, off):
     d = 4 * i + off
-    assert gauss_h_certified(d, SIEVE) == gauss_h_bruteforce(d, SIEVE)
+    assert gauss_h_certified(d) == gauss_h_bruteforce(d)
 
 
 def test_certified_large_fundamental():
     # h(-163) = 1 is the classical tail case; also a mid-size sanity point
-    assert gauss_h_certified(163, SIEVE) == 1
-    assert gauss_h_certified(120004, SIEVE) == gauss_h_bruteforce(120004,
-                                                                 SIEVE)
+    assert gauss_h_certified(163) == 1
+    assert gauss_h_certified(120004) == gauss_h_bruteforce(120004)
 
 
 @pytest.mark.parametrize("d", [1000003,        # fundamental, 1 mod 4
@@ -140,7 +138,7 @@ def test_certified_large_fundamental():
                                17993996,       # -4498499 * 2^2
                                19999999])
 def test_certified_matches_bruteforce_desk_scale(d):
-    assert gauss_h_certified(d, SIEVE) == gauss_h_bruteforce(d, SIEVE)
+    assert gauss_h_certified(d) == gauss_h_bruteforce(d)
 
 
 # d0 = 1 and 0 mod 4, fundamental and not (-63 = -7 * 3^2, -28 = -7 * 2^2,
@@ -151,12 +149,13 @@ CHI_D0 = (-3, -4, -7, -8, -20, -163, -63, -28, -48, -4000004, -11111103,
 
 
 @pytest.mark.parametrize("d0", CHI_D0)
-def test_chi_table_matches_kronecker(d0):
-    small = build_sieve(1000)
-    cases = [(n0, SIEVE) for n0 in (1, 2, 3, 97, 10007, 100003)]
-    cases.append((1500, small))  # beyond the sieve: reciprocity route
-    for n0, sieve in cases:
+def test_chi_table_matches_kronecker(d0, monkeypatch):
+    # With a 1000-sieve as the shared one, n0 = 1500 lies beyond it and
+    # _chi_table must grow it; monkeypatch restores the process-wide sieve.
+    monkeypatch.setattr(arith, "_shared", build_sieve(1000))
+    for n0 in (1, 2, 3, 97, 1500, 10007, 100003):
         want = [kronecker(d0, n) for n in range(1, n0 + 1)]
-        got = _chi_table(d0, n0, sieve)
+        got = _chi_table(d0, n0)
         assert got.dtype == np.float64 and len(got) == n0
         assert got.tolist() == want, (d0, n0)
+    assert shared_sieve(1).limit >= 100003

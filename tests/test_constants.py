@@ -8,22 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations.arith import build_sieve
-from murmurations.constants import (euler_constant, primes_upto,
-                                    q_table, q_weighted_sums, qcount_partial,
+from murmurations.arith import primes_upto
+from murmurations.constants import (ZETA2, euler_constant, q_table,
+                                    q_weighted_sums, qcount_partial,
                                     qsqrt_product, qsqrt_sum_upper_bound,
-                                    zeta, zeta_3_2_partial)
+                                    zeta_3_2_partial)
 from murmurations.multfns import Q
-
-SIEVE = build_sieve(3000)
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
 
 
 def test_zeta_against_mpmath():
     mp.mp.dps = 25
-    for n in (2, 3, 4, 6):
-        assert zeta(n) == pytest.approx(float(mp.zeta(n)), abs=1e-12)
+    assert ZETA2 == pytest.approx(float(mp.zeta(2)), abs=1e-12)
 
 
 def test_zeta_3_2_partial_tail():
@@ -59,11 +56,11 @@ def test_primes_upto_matches_sieve():
 def test_q_table_matches_exact():
     t = q_table(300)
     for d in range(1, 301):
-        assert t[d] == pytest.approx(float(Q(d, SIEVE)), rel=1e-14)
+        assert t[d] == pytest.approx(float(Q(d)), rel=1e-14)
 
 
 def test_qcount_routes_agree():
-    assert qcount_partial(60, SIEVE) == pytest.approx(
+    assert qcount_partial(60) == pytest.approx(
         float(q_table(60).sum()), rel=1e-13)
 
 

@@ -8,15 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations.arith import build_sieve
 from murmurations.constants import euler_constant
 from murmurations.multfns import (Q, is_admissible, nu, phi_circ,
                                   phi_circ_bruteforce, remainder_set,
                                   smooth_square_gs, theta, theta_bruteforce,
                                   theta_sum_partial)
-
-SIEVE = build_sieve(20000)
-
 
 def _valid_m(mmax, P):
     return [m for m in range(1, mmax + 1)
@@ -29,7 +25,7 @@ def _valid_m(mmax, P):
 def test_theta_matches_bruteforce(P):
     for r in range(1, 7):
         for m in _valid_m(120, P):
-            assert theta(r, m, P, SIEVE) == theta_bruteforce(r, m, P), \
+            assert theta(r, m, P) == theta_bruteforce(r, m, P), \
                 (r, m, P)
 
 
@@ -41,15 +37,15 @@ def test_theta_multiplicative():
             for m2 in ms:
                 if math.gcd(m1, m2) != 1 or m1 * m2 % 8 in (2, 4, 6):
                     continue
-                assert theta(r, m1 * m2, P, SIEVE) == \
-                    theta(r, m1, P, SIEVE) * theta(r, m2, P, SIEVE)
+                assert theta(r, m1 * m2, P) == \
+                    theta(r, m1, P) * theta(r, m2, P)
 
 
 def test_theta_rejects_bad_valuation():
     with pytest.raises(ValueError):
-        theta(1, 2, 7, SIEVE)
+        theta(1, 2, 7)
     with pytest.raises(ValueError):
-        theta(1, 4, 7, SIEVE)
+        theta(1, 4, 7)
 
 
 # -- phi_circ ---------------------------------------------------------------
@@ -60,12 +56,12 @@ def test_phi_circ_matches_bruteforce():
             for d in range(1, 13):
                 if not is_admissible(r, d) or d % P == 0:
                     continue
-                for g in smooth_square_gs(d, 600, SIEVE):
+                for g in smooth_square_gs(d, 600):
                     try:
-                        closed = phi_circ(r, d, g, P, SIEVE)
+                        closed = phi_circ(r, d, g, P)
                     except ValueError:
                         continue
-                    assert closed == phi_circ_bruteforce(r, d, g, P, SIEVE), \
+                    assert closed == phi_circ_bruteforce(r, d, g, P), \
                         (r, d, g, P)
 
 
@@ -115,20 +111,20 @@ def test_nu_is_divisor_sum_of_Q(r):
     total = Fraction(0)
     for d in range(1, r + 1):
         if r % d == 0:
-            total += Q(d, SIEVE)
-    assert nu(r, SIEVE) == total
+            total += Q(d)
+    assert nu(r) == total
 
 
 def test_Q_squarefree_support():
-    assert Q(4, SIEVE) == 0
-    assert Q(12, SIEVE) == 0
-    assert Q(1, SIEVE) == 1
-    assert Q(2, SIEVE) == Fraction(4, 16 - 8 - 2 + 1)
+    assert Q(4) == 0
+    assert Q(12) == 0
+    assert Q(1) == 1
+    assert Q(2) == Fraction(4, 16 - 8 - 2 + 1)
 
 
 def test_theta_sum_partial_converges_to_B_nu():
     B = euler_constant("B").value
     P = 10007
     for r in (1, 2, 3):
-        got = theta_sum_partial(r, 200, 200, P, SIEVE)
-        assert got == pytest.approx(B * float(nu(r, SIEVE)), abs=0.05)
+        got = theta_sum_partial(r, 200, 200, P)
+        assert got == pytest.approx(B * float(nu(r)), abs=0.05)

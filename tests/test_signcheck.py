@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations.signcheck import (DEFAULT_D, M_D, M_MAX, SignCheckConfig,
+from murmurations.signcheck import (DEFAULT_D, M_D, SignCheckConfig,
                                     error_budget, f_interpolated, f_polylog,
                                     grid_verify, m_max_bounds, period,
                                     second_peak_probe)
@@ -50,7 +50,7 @@ def test_m_max_value():
     assert hi == pytest.approx(math.sqrt(2) / 2 * 2.612375, abs=1e-5)
     # the single-term profile at its cusp attains -M_max in the limit
     v, tail = f_polylog(0.0, 10 ** 6)
-    assert -v <= M_MAX + tail
+    assert -v <= hi + tail
 
 
 def test_period():
@@ -89,9 +89,8 @@ def test_M_D_accumulates_tails():
 
 
 def _q(d):
-    from murmurations.arith import build_sieve
     from murmurations.multfns import Q
-    return Q(d, build_sieve(100))
+    return Q(d)
 
 
 def test_M_D_is_periodic():

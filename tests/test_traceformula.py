@@ -33,7 +33,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         _params(0, 5, 2)
     with pytest.raises(ValueError):
-        trace_TpWN(_params(12, 5, 2), sieve=SIEVE)  # N not square-free
+        trace_TpWN(_params(12, 5, 2))  # N not square-free
 
 
 @given(st.integers(1, 2000), st.integers(2, 90))
@@ -44,7 +44,7 @@ def test_k2_trace_is_integer(N, pidx):
         P += 1
     if N % P == 0 or not SIEVE.is_squarefree(N):
         return
-    t = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
+    t = trace_TpWN(_params(N, P, 2))
     assert isinstance(t, Fraction)
     assert t.denominator == 1
 
@@ -61,8 +61,8 @@ def test_hurwitz_read_matches_form_counting():
             r = 0
             while r * r * N < 4 * P:
                 m = 4 * P - r * r * N
-                assert _hurwitz(N, m, SIEVE, None) == \
-                    hurwitz_H1(N * m, SIEVE), (N, P, r)
+                assert _hurwitz(N, m, None) == \
+                    hurwitz_H1(N * m), (N, P, r)
                 r += 1
 
 
@@ -73,9 +73,8 @@ def test_table_route_matches_direct():
             if N % P == 0:
                 continue
             for k in (2, 4, 6):
-                with_table = trace_TpWN(_params(N, P, k), table=table,
-                                        sieve=SIEVE)
-                direct = trace_TpWN(_params(N, P, k), sieve=SIEVE)
+                with_table = trace_TpWN(_params(N, P, k), table=table)
+                direct = trace_TpWN(_params(N, P, k))
                 assert with_table == direct, (N, P, k)
 
 
@@ -85,41 +84,39 @@ def test_corrupted_table_is_caught():
     table = hurwitz_sieve(3, 4 * 97 * 30 + 10)
     bad = HurwitzTable(table.dmin, table.dmax, table.six + 42)
     for N, P in ((1, 5), (13, 7), (30, 97)):
-        direct = trace_TpWN(_params(N, P, 2), sieve=SIEVE)
-        assert trace_TpWN(_params(N, P, 2), table=table,
-                          sieve=SIEVE) == direct
-        assert trace_TpWN(_params(N, P, 2), table=bad,
-                          sieve=SIEVE) != direct
+        direct = trace_TpWN(_params(N, P, 2))
+        assert trace_TpWN(_params(N, P, 2), table=table) == direct
+        assert trace_TpWN(_params(N, P, 2), table=bad) != direct
 
 
 def test_table_out_of_range_raises():
     table = hurwitz_sieve(3, 50)
     with pytest.raises(LookupError):
-        trace_TpWN(_params(1, 101, 2), table=table, sieve=SIEVE)
+        trace_TpWN(_params(1, 101, 2), table=table)
 
 
 def test_square_divisors():
-    assert _square_divisors(1, SIEVE) == [1]
-    assert _square_divisors(36, SIEVE) == [1, 2, 3, 6]
-    assert _square_divisors(720, SIEVE) == [1, 2, 3, 4, 6, 12]
+    assert _square_divisors(1) == [1]
+    assert _square_divisors(36) == [1, 2, 3, 6]
+    assert _square_divisors(720) == [1, 2, 3, 4, 6, 12]
 
 
 def test_dimension_main():
-    assert dimension_main(1, 2, SIEVE) == Fraction(1, 12)
-    assert dimension_main(11, 2, SIEVE) == Fraction(10, 12)
-    assert dimension_main(35, 4, SIEVE) == Fraction(3 * 24, 12)
+    assert dimension_main(1, 2) == Fraction(1, 12)
+    assert dimension_main(11, 2) == Fraction(10, 12)
+    assert dimension_main(35, 4) == Fraction(3 * 24, 12)
     with pytest.raises(ValueError):
-        dimension_main(1, 3, SIEVE)
+        dimension_main(1, 3)
 
 
 def test_interval_average_assembly():
     # numerator/denominator are plain sums over the admitted levels
     X, Y, P, k = 100, 30, 11, 2
-    rep = interval_average(X, Y, P, k, sieve=SIEVE)
+    rep = interval_average(X, Y, P, k)
     levels = [N for N in range(X, X + Y + 1)
               if N % P and SIEVE.is_squarefree(N)]
-    num = sum(trace_TpWN(_params(N, P, k), sieve=SIEVE) for N in levels)
-    den = sum(dimension_main(N, k, SIEVE) for N in levels)
+    num = sum(trace_TpWN(_params(N, P, k)) for N in levels)
+    den = sum(dimension_main(N, k) for N in levels)
     assert rep.levels == len(levels)
     assert rep.numerator == pytest.approx(float(num), rel=1e-12)
     assert rep.denominator == pytest.approx(float(den), rel=1e-12)
@@ -130,7 +127,7 @@ def test_interval_average_assembly():
 
 
 def test_dyadic_average_window():
-    rep = dyadic_average(50, 2.0, 101, 2, sieve=SIEVE)
+    rep = dyadic_average(50, 2.0, 101, 2)
     levels = [N for N in range(50, 101)
               if N % 101 and SIEVE.is_squarefree(N)]
     assert rep.levels == len(levels)
@@ -139,6 +136,6 @@ def test_dyadic_average_window():
 
 def test_interval_average_requires_Y_below_X():
     with pytest.raises(ValueError):
-        interval_average(100, 100, 11, 2, sieve=SIEVE)
+        interval_average(100, 100, 11, 2)
     with pytest.raises(ValueError):
-        dyadic_average(100, 1.0, 11, 2, sieve=SIEVE)
+        dyadic_average(100, 1.0, 11, 2)
