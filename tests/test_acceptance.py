@@ -14,8 +14,8 @@ from fractions import Fraction
 from murmurations.arith import (is_prime, shared_sieve,
                                 squarefree_in_class_count, sum_mu2_phi)
 from murmurations.classnumbers import gauss_h_certified, hurwitz_sieve
-from murmurations.constants import (euler_constant, q_weighted_sums,
-                                    qsqrt_product, ZETA2)
+from murmurations.constants import (ZETA2, euler_constant,
+                                    q_weighted_sums, qsqrt_product)
 from murmurations.density import (DensityConfig, dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
                                   murmuration_density,
