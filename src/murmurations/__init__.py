@@ -7,8 +7,9 @@ Subpackage layout:
     arith         the shared smallest-prime-factor sieve, primes, Kronecker
                   symbol, and the elementary summatory functions (mu, phi,
                   eta, mu^2-counts)
-    classnumbers  exact Gauss/Hurwitz class numbers (form counting and a
-                  certified character sum), batch tables, disk cache
+    classnumbers  exact Gauss/Hurwitz class numbers (form counting, and H_1
+                  from one certified character sum by the conductor sum),
+                  batch tables, disk cache
     multfns       the multiplicative-function layer: remainder sets, theta_r,
                   phi_circ, nu, Q, the triple sum converging to B*nu(r)
     constants     Euler-product constants with certified truncation tails

@@ -2,14 +2,23 @@
 
 Two routes, cross-checked against each other:
 
-  * reduced-form enumeration (exact, per value or batched over a range);
-  * a certified smoothed character sum that provably rounds to the exact
-    integer value, fast enough for discriminants ~ 10^9.
+  * reduced-form enumeration, exact: per value (``gauss_h_bruteforce``
+    for h, ``hurwitz_H1`` for H_1) or batched over a range
+    (``hurwitz_sieve``);
+  * ``hurwitz_H1_certified``: H_1(-d) from one certified class number
+    h(d0) of the fundamental discriminant d0, where -d = d0 F^2, by the
+    conductor sum (Cox, Primes of the form x^2 + ny^2, Thm 7.24)
 
-Conventions: ``gauss_h(d)`` counts primitive reduced forms of discriminant
--d (so h(-3) = h(-4) = 1); the weighted variant used by the trace divides
-by the extra automorphisms at -3 and -4 (1/3 and 1/2).  ``hurwitz_H1``
-counts all reduced forms, primitive or not, with those same weights.
+        H_1(-d) = (2 h(d0)/w(d0)) prod_{p^e || F} (1 + (p - (d0|p)) (p^e - 1)/(p - 1)),
+
+    w(d0) the number of units (6 at -3, 4 at -4, else 2).  h(d0) is a
+    smoothed character sum that provably rounds to the exact integer,
+    fast enough for discriminants ~ 10^9 (``gauss_h_certified``).
+
+Conventions: h counts primitive reduced forms (so h(-3) = h(-4) = 1).
+H_1(-d) counts all reduced forms, primitive or not, weighting the classes
+of t(x^2+y^2) by 1/2 and t(x^2+xy+y^2) by 1/3; it is zero when -d = 2, 3
+mod 4.
 
 The batch tabulation stores 6 H_1(-d), always an integer, as an int32
 array; its cache file (MURH1 version 2) is a fixed header followed by
@@ -18,6 +27,7 @@ that array's raw bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -112,25 +122,6 @@ def hurwitz_H1(d: int) -> Fraction:
         return Fraction(0)
     count, w2, w3 = _form_count(d, primitive=False)
     return Fraction(count) - Fraction(w2, 2) - Fraction(2 * w3, 3)
-
-
-_CERTIFIED_ABOVE = 10 ** 6
-
-
-def gauss_h_weighted(d: int) -> Fraction:
-    """h(-d) with the 1/3, 1/2 automorphism weights at d = 3, 4.
-
-    This is the per-discriminant weight the trace formula uses.  d above
-    10^6 is routed to the certified analytic evaluation, smaller d to form
-    counting.
-    """
-    if d == 3:
-        return Fraction(1, 3)
-    if d == 4:
-        return Fraction(1, 2)
-    if d <= _CERTIFIED_ABOVE:
-        return Fraction(gauss_h_bruteforce(d))
-    return Fraction(gauss_h_certified(d))
 
 
 # ---------------------------------------------------------------------------
@@ -255,59 +246,64 @@ def fundamental_decomposition(d: int) -> tuple[int, int]:
     return -4 * s, f // 2
 
 
-def gauss_h_certified(d: int) -> int:
-    """Exact h(-d) via a smoothed character sum with a certified tail.
+def gauss_h_certified(q: int) -> int:
+    """Exact h(-q) for a fundamental discriminant -q, via a smoothed
+    character sum with a certified tail.
 
-    For fundamental q = |d0|, theta-function symmetrization gives
+    With chi = (-q|.), theta-function symmetrization gives
 
         L(1, chi) = Sum_n chi(n) [ exp(-pi n^2/q)/n + (pi/sqrt(q)) erfc(n sqrt(pi/q)) ]
 
     with tail beyond n0 at most (q/(pi n0^2)) exp(-pi n0^2/q).  The cutoff
     is chosen so the resulting error in h is below 0.05, and the float is
     rounded to the nearest integer; a rounding margin worse than 0.25
-    falls back to form counting.  Non-fundamental d reduces to d0 by the
-    conductor formula h(-d) = h(d0) f prod_{p|f}(1 - (d0|p)/p) / [unit index].
+    falls back to form counting.  The bound covers the truncated tail, not
+    float rounding in the partial sum, which the margin absorbs.  A
+    non-fundamental -q raises ValueError (see hurwitz_H1_certified).
     """
-    _check_disc(d)
-    d0, f = fundamental_decomposition(d)
-    q = -d0
+    if fundamental_decomposition(q) != (-q, 1):
+        raise ValueError(f"-{q} is not a fundamental discriminant")
     if q == 3 or q == 4:
-        h0 = 1
-    else:
-        # cutoff: want (q/u) e^{-u} <= 0.05 * pi/sqrt(q) with u = pi n0^2/q
-        target = 0.05 * math.pi / math.sqrt(q)
-        u = 2.0
-        for _ in range(60):
-            u = math.log(q / (u * target))
-            if u < 2.0:
-                u = 2.0
-                break
-        n0 = math.isqrt(int(q * u / math.pi)) + 2
-        chi = _chi_table(d0, n0)
-        # only n with chi(n) != 0 contribute
-        n = _np.flatnonzero(chi) + 1
-        x = n * math.sqrt(math.pi / q)
-        terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * _erfc(x)
-        lval = float(_np.dot(chi[n - 1], terms))
-        happrox = math.sqrt(q) / math.pi * lval
-        h0 = round(happrox)
-        if abs(happrox - h0) > 0.25:
-            h0 = gauss_h_bruteforce(q)
-    if f == 1:
-        return h0
-    num = f
-    den = 1
-    for p, _ in shared_sieve().factor(f):
-        num *= p - kronecker(d0, p)
-        den *= p
-    if q == 3:
-        den *= 3
-    elif q == 4:
-        den *= 2
-    h = Fraction(h0 * num, den)
-    if h.denominator != 1:
-        raise ArithmeticError(f"conductor formula gave non-integer h(-{d})")
-    return int(h)
+        return 1
+    # cutoff: want (q/u) e^{-u} <= 0.05 * pi/sqrt(q) with u = pi n0^2/q
+    target = 0.05 * math.pi / math.sqrt(q)
+    u = 2.0
+    for _ in range(60):
+        u = math.log(q / (u * target))
+        if u < 2.0:
+            u = 2.0
+            break
+    n0 = math.isqrt(int(q * u / math.pi)) + 2
+    chi = _chi_table(-q, n0)
+    # only n with chi(n) != 0 contribute
+    n = _np.flatnonzero(chi) + 1
+    x = n * math.sqrt(math.pi / q)
+    terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * _erfc(x)
+    lval = float(_np.dot(chi[n - 1], terms))
+    happrox = math.sqrt(q) / math.pi * lval
+    h = round(happrox)
+    if abs(happrox - h) > 0.25:
+        h = gauss_h_bruteforce(q)
+    return h
+
+
+@functools.cache
+def hurwitz_H1_certified(d: int) -> Fraction:
+    """H_1(-d) from the one certified class number h(d0), -d = d0 F^2,
+    by the conductor sum in the module docstring; zero when -d = 2, 3
+    mod 4.  Each factor 1 + (p - (d0|p))(p^e - 1)/(p - 1) sums the
+    conductor formula's h(d0 f^2)/h(d0) over f = 1, p, ..., p^e.
+    """
+    if d <= 0:
+        raise ValueError("d must be positive")
+    if (-d) % 4 in (2, 3):
+        return Fraction(0)
+    d0, F = fundamental_decomposition(d)
+    total = 1
+    for p, e in shared_sieve().factor(F):
+        total *= 1 + (p - kronecker(d0, p)) * (p ** e - 1) // (p - 1)
+    # 2 / w(d0): w = 6 at d0 = -3, 4 at d0 = -4, else 2
+    return Fraction(gauss_h_certified(-d0) * total, {3: 3, 4: 2}.get(-d0, 1))
 
 
 # Composites 4 <= n <= extent grouped by Omega(n) (prime factors counted

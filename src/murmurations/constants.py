@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -118,17 +117,6 @@ def q_table(T: int) -> np.ndarray:
         if p2 <= T:
             q[p2::p2] = 0.0
     return q
-
-
-def qcount_partial(T: int) -> float:
-    """Partial sum of Q(d) for d <= T (exact rationals for tiny T, float
-    table otherwise).  Approaches beta/alpha - Delta/T."""
-    if T < 1:
-        raise ValueError("T >= 1 required")
-    if T <= 64:
-        from .multfns import Q
-        return float(sum(Q(d) for d in range(1, T + 1)))
-    return float(q_table(T).sum())
 
 
 def q_weighted_sums(T: int) -> tuple[float, float, float]:

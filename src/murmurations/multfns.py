@@ -108,22 +108,20 @@ def theta(r: int, m: int, P: int) -> int:
     _check_v2(m, "m")
     if math.gcd(m, P) != 1:
         raise ValueError("closed form needs gcd(m, P) = 1; use theta_bruteforce")
-    result = 1
-    for p, a in shared_sieve().factor(m):
-        if p == 2:
-            if r % 2 == 0:
-                return 0
-            result *= (-1) ** a * 2 ** (a - 1)
-        elif r % p == 0:
-            if a % 2:
-                return 0
-            result *= p ** (a - 1) * (p - 1)
-        else:
-            if a % 2:
-                result *= -(p ** (a - 1))
-            else:
-                result *= p ** (a - 1) * (p - 2)
-    return result
+    return math.prod(_theta_local(p, a, r) for p, a in shared_sieve().factor(m))
+
+
+def _theta_local(p: int, a: int, r: int) -> int:
+    """The p^a factor of theta_r's closed form, zero where it vanishes.
+
+    At p = 2 it is (-1)^a 2^(a-1) for odd r, for every a >= 1; theta
+    never sees a in {1, 2}, _theta_factor uses it as the formal extension.
+    """
+    if p == 2:
+        return 0 if r % 2 == 0 else (-1) ** a * 2 ** (a - 1)
+    if r % p == 0:
+        return 0 if a % 2 else p ** (a - 1) * (p - 1)
+    return -(p ** (a - 1)) if a % 2 else p ** (a - 1) * (p - 2)
 
 
 def theta_bruteforce(r: int, m: int, P: int) -> int:
@@ -155,7 +153,8 @@ def _g_divides_d_infinity(g: int, d: int) -> bool:
 
 
 def phi_circ(r: int, d: int, g: int, P: int) -> int:
-    """Closed form of phi^o_{r,d}(g) per the five-case 2-adic table.
+    """Closed form of phi^o_{r,d}(g) per the five-case 2-adic table in
+    _phi_circ_ext.
 
     Zero for non-admissible (r, d); requires g | d^infinity and
     v_2(g) not in {1, 2}.  P-independent.
@@ -163,19 +162,7 @@ def phi_circ(r: int, d: int, g: int, P: int) -> int:
     _check_v2(g, "g")
     if not _g_divides_d_infinity(g, d):
         raise ValueError("g must divide a power of d")
-    if not is_admissible(r, d):
-        return 0
-    sq = 1 if _is_square(g) else 0
-    phi_g = shared_sieve().euler_phi(g)
-    if d % 2 == 1:
-        return phi_g * sq
-    if d % 4 == 2:
-        if g % 2 == 1:
-            return phi_g * sq
-        if r % 4 == 2:
-            return 0
-        return 2 * phi_g * sq  # 4 | r (r odd is non-admissible with even d)
-    return 2 * phi_g * sq  # 4 | d
+    return _phi_circ_ext(r, d, g)
 
 
 def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
@@ -236,9 +223,10 @@ def smooth_square_gs(d: int, bound: int) -> list[int]:
 
 
 def _phi_circ_ext(r: int, d: int, g: int) -> int:
-    """phi_circ's closed-form table applied formally to any square g | d^inf.
+    """The closed-form table of phi^o_{r,d}(g), for any g | d^inf.
 
-    The defining sum restricts v_2(g) away from {1, 2}, but the triple sum
+    phi_circ checks its domain and reads this table.  The defining sum
+    restricts v_2(g) away from {1, 2}, but the triple sum
     below only converges to its stated limit when the table is extended to
     all squares; non-square g vanish either way.
     """
@@ -264,16 +252,9 @@ def _theta_factor(m: int, r: int) -> float:
     num = 1
     den = m * m
     for p, a in shared_sieve().factor(m):
-        if p == 2:
-            if r % 2 == 0:
-                return 0.0
-            num *= (-1) ** a * 2 ** (a - 1)
-        elif r % p == 0:
-            if a % 2:
-                return 0.0
-            num *= p ** (a - 1) * (p - 1)
-        else:
-            num *= -(p ** (a - 1)) if a % 2 else p ** (a - 1) * (p - 2)
+        num *= _theta_local(p, a, r)
+        if not num:
+            return 0.0
         den = den * (p * p - 1) // (p * p)
     return num / den
 

@@ -8,11 +8,12 @@ Per level, the trace is a finite sum of Hurwitz class numbers
     + (-1)^(k/2-1) sum_{1 <= r <= 2 sqrt(P/N)} U_{k-2}(r sqrt(N)/(2 sqrt P))
         H_1(-N (4P - r^2 N))
 
-with the 1/2, 1/3 automorphism weights at discriminants -4, -3.  Each
-H_1(-Nm), m = 4P - r^2 N, is the sum of h(-Nm/f^2) over f^2 | m: a square
-f^2 | Nm that does not divide m needs a prime p | N with p | m, so p | 4P
-and p = 2; then N is even, r is odd and -Nm/f^2 = 3 mod 4 is no
-discriminant.
+with the 1/2, 1/3 automorphism weights at discriminants -4, -3.  The
+paper sums h(-Nm/f^2) over f^2 | m, m = 4P - r^2 N; that sum is the whole
+H_1(-Nm), because a square f^2 | Nm that does not divide m needs a prime
+p | N with p | m, so p | 4P and p = 2; then N is even, r is odd and
+-Nm/f^2 = 3 mod 4 is no discriminant.  Each H_1(-Nm) is one table read or
+one certified evaluation (classnumbers.hurwitz_H1_certified).
 For k = 2 every factor is rational and the value is an exact integer, which
 the test-suite uses as the strongest internal consistency check.
 Averages divide by the dimension main term (k-1) phi(N)/12 summed over
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, shared_sieve
-from .classnumbers import HurwitzTable, gauss_h_weighted
+from .classnumbers import HurwitzTable, hurwitz_H1_certified
 from .density import DensityConfig, chebyshev_U, dyadic_density, \
     murmuration_density
 
@@ -78,45 +79,12 @@ class TraceReport:
 # Per-level trace
 # ---------------------------------------------------------------------------
 
-# Weighted h(-m) from the direct route, shared by every average in the
-# process.
-_h_cache: dict[int, Fraction] = {}
-
-
-def _class_number(m: int) -> Fraction:
-    """Weighted h(-m), zero when -m is not a discriminant, cached.
-
-    Per-value counting (certified analytic rounding beyond 10^6).
-    """
-    if m % 4 in (1, 2):
-        return Fraction(0)
-    got = _h_cache.get(m)
-    if got is None:
-        got = _h_cache[m] = gauss_h_weighted(m)
-    return got
-
-
-def _square_divisors(m: int) -> list[int]:
-    """All d >= 1 with d^2 | m."""
-    divs = [1]
-    for p, e in shared_sieve().factor(m):
-        if e < 2:
-            continue
-        pk, powers = 1, []
-        for _ in range(e // 2):
-            pk *= p
-            powers.append(pk)
-        divs += [q * pw for q in divs for pw in powers]
-    return sorted(divs)
-
-
 def _hurwitz(N: int, m: int, table: HurwitzTable | None) -> Fraction:
-    """H_1(-N m) for a trace term m = 4P - r^2 N: one table read, or the
-    sum of h(-N m/f^2) over f^2 | m (see the module docstring)."""
+    """H_1(-N m) for a trace term m = 4P - r^2 N: one table read, or one
+    certified evaluation."""
     if table is not None:
         return table[N * m]
-    return sum((_class_number(N * m // (f * f))
-                for f in _square_divisors(m)), Fraction(0))
+    return hurwitz_H1_certified(N * m)
 
 
 def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None

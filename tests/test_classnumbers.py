@@ -1,8 +1,10 @@
 """Class numbers: form counting, weighted variants, the square-divisor
 reconstruction, serialization, and the certified analytic route."""
 
+import ast
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from murmurations import arith
 from murmurations.arith import build_sieve, kronecker, shared_sieve
 from murmurations.classnumbers import (_chi_table, fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
-                                       gauss_h_weighted, hurwitz_H1,
+                                       hurwitz_H1, hurwitz_H1_certified,
                                        hurwitz_sieve, load_table, save_table)
 
 # Textbook values: class numbers of the first imaginary quadratic fields.
@@ -38,31 +40,38 @@ def test_known_class_numbers():
 def test_known_weighted_tabulation():
     for d, v in KNOWN_H1.items():
         assert hurwitz_H1(d) == v
+        assert hurwitz_H1_certified(d) == v
 
 
 def test_weighted_gauss_automorphism_weights():
-    assert gauss_h_weighted(3) == Fraction(1, 3)
-    assert gauss_h_weighted(4) == Fraction(1, 2)
-    assert gauss_h_weighted(7) == 1
+    # 2/w(d0) in the conductor sum: 1/3 at -3, 1/2 at -4, 1 elsewhere
+    assert hurwitz_H1_certified(3) == Fraction(1, 3)
+    assert hurwitz_H1_certified(4) == Fraction(1, 2)
+    assert hurwitz_H1_certified(7) == 1
 
 
 def test_invalid_discriminants_rejected():
     for d in (-3, 0):
         with pytest.raises(ValueError):
             hurwitz_H1(d)
+        with pytest.raises(ValueError):
+            hurwitz_H1_certified(d)
     # -d = 2, 3 mod 4 is not a discriminant: the tabulated value is zero
     for d in (1, 2, 5, 6):
         assert hurwitz_H1(d) == 0
+        assert hurwitz_H1_certified(d) == 0
 
 
 def test_square_divisor_reconstruction_small():
     # H_1(-d) equals the weighted class numbers summed over square divisors
+    weight = {3: Fraction(1, 3), 4: Fraction(1, 2)}
     for d in _valid_ds(3, 2000):
         total = Fraction(0)
         f = 1
         while f * f <= d:
-            if d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 3):
-                total += gauss_h_weighted(d // (f * f))
+            q = d // (f * f)
+            if d % (f * f) == 0 and q % 4 in (0, 3):
+                total += weight.get(q, gauss_h_bruteforce(q))
             f += 1
         assert hurwitz_H1(d) == total
 
@@ -122,7 +131,7 @@ def test_fundamental_decomposition():
 @settings(max_examples=60, deadline=None)
 def test_certified_matches_bruteforce(i, off):
     d = 4 * i + off
-    assert gauss_h_certified(d) == gauss_h_bruteforce(d)
+    assert hurwitz_H1_certified(d) == hurwitz_H1(d)
 
 
 def test_certified_large_fundamental():
@@ -138,7 +147,38 @@ def test_certified_large_fundamental():
                                17993996,       # -4498499 * 2^2
                                19999999])
 def test_certified_matches_bruteforce_desk_scale(d):
-    assert gauss_h_certified(d) == gauss_h_bruteforce(d)
+    assert hurwitz_H1_certified(d) == hurwitz_H1(d)
+
+
+def test_certified_needs_fundamental():
+    for d in (11111103,        # -1234567 * 3^2
+              12, 16, 28):
+        with pytest.raises(ValueError, match="not a fundamental"):
+            gauss_h_certified(d)
+    for d in (0, 5, 6):
+        with pytest.raises(ValueError):
+            gauss_h_certified(d)
+    assert gauss_h_certified(1234567) == gauss_h_bruteforce(1234567)
+
+
+def test_only_classnumbers_counts_class_numbers():
+    """Elsewhere in the package H_1 comes from a table or from
+    hurwitz_H1_certified: no code calls gauss_h_certified or
+    gauss_h_bruteforce outside classnumbers."""
+    src = Path(arith.__file__).parent
+    banned = {"gauss_h_certified", "gauss_h_bruteforce"}
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "classnumbers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", None)
+                if name in banned:
+                    offenders.append(f"{path.name}:{node.lineno}: calls {name}")
+    assert not offenders, offenders
 
 
 # d0 = 1 and 0 mod 4, fundamental and not (-63 = -7 * 3^2, -28 = -7 * 2^2,

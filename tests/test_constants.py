@@ -4,15 +4,15 @@ partial-sum behavior of the Q-weighted series."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import primes_upto
 from murmurations.constants import (ZETA2, euler_constant, q_table,
-                                    q_weighted_sums, qcount_partial,
-                                    qsqrt_product, qsqrt_sum_upper_bound,
-                                    zeta_3_2_partial)
+                                    q_weighted_sums, qsqrt_product,
+                                    qsqrt_sum_upper_bound, zeta_3_2_partial)
 from murmurations.multfns import Q
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
@@ -60,8 +60,29 @@ def test_q_table_matches_exact():
 
 
 def test_qcount_routes_agree():
-    assert qcount_partial(60) == pytest.approx(
-        float(q_table(60).sum()), rel=1e-13)
+    exact = sum(Q(d) for d in range(1, 61))
+    assert q_weighted_sums(60)[0] == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_gamma_is_twelve_over_dimC():
+    # 1 + 1/(p^2 + p - 1) is exactly 1/(1 - 1/(p^2 + p)), factor by factor
+    gamma = euler_constant("gamma").value
+    assert abs(gamma * euler_constant("dimC").value - 12.0) <= 1e-12
+
+
+def test_gamma_against_windowed_exact_sum():
+    # gamma is the limit of 12 sum N / sum phi(N) over square-free N in a
+    # window [X, 2X]; exact integer sums at X = 1e6 (17.034748)
+    X = 10 ** 6
+    n = np.arange(2 * X + 1, dtype=np.int64)
+    phi = n.copy()
+    squarefree = np.ones(2 * X + 1, dtype=bool)
+    for p in primes_upto(2 * X).tolist():
+        phi[p::p] -= phi[p::p] // p
+        squarefree[p * p::p * p] = False
+    keep = squarefree[X:]
+    windowed = 12 * int(n[X:][keep].sum()) / int(phi[X:][keep].sum())
+    assert abs(euler_constant("gamma").value - windowed) <= 2e-4
 
 
 def test_q_sum_identities():

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations import classnumbers
 from murmurations.arith import build_sieve, is_prime
-from murmurations.classnumbers import HurwitzTable, hurwitz_H1, hurwitz_sieve
+from murmurations.classnumbers import (HurwitzTable, fundamental_decomposition,
+                                       hurwitz_H1, hurwitz_sieve)
 from murmurations.density import DensityConfig, murmuration_density
-from murmurations.traceformula import (TraceParams, _hurwitz,
-                                       _square_divisors, dimension_main,
+from murmurations.traceformula import (TraceParams, _hurwitz, dimension_main,
                                        dyadic_average, interval_average,
                                        trace_TpWN)
 
@@ -50,8 +51,8 @@ def test_k2_trace_is_integer(N, pidx):
 
 
 def test_hurwitz_read_matches_form_counting():
-    # The direct route's sum over f^2 | m is the whole H_1(-Nm), the 2-adic
-    # case of even N and odd r included.
+    # The certified H_1(-Nm) is the form count, the 2-adic case of even N
+    # and odd r included.
     for N in range(1, 201):
         if not SIEVE.is_squarefree(N):
             continue
@@ -95,10 +96,21 @@ def test_table_out_of_range_raises():
         trace_TpWN(_params(1, 101, 2), table=table)
 
 
-def test_square_divisors():
-    assert _square_divisors(1) == [1]
-    assert _square_divisors(36) == [1, 2, 3, 6]
-    assert _square_divisors(720) == [1, 2, 3, 4, 6, 12]
+def test_one_certified_class_number_per_fundamental_discriminant(
+        monkeypatch):
+    # PN = 1499 * 3001 = 3 mod 4 and 4PN > 1e6: H_1(-4PN) = h(-4PN) + h(-PN)
+    # at r = 0 shares d0 = -PN, and costs one certified evaluation.
+    N, P = 3001, 1499
+    calls = []
+    real = classnumbers.gauss_h_certified
+    monkeypatch.setattr(classnumbers, "gauss_h_certified",
+                        lambda q: calls.append(q) or real(q))
+    classnumbers.hurwitz_H1_certified.cache_clear()
+    trace_TpWN(_params(N, P, 2))
+    ds = [N * (4 * P - r * r * N) for r in range(math.isqrt(4 * P // N) + 1)]
+    d0s = {fundamental_decomposition(d)[0] for d in ds if d % 4 in (0, 3)}
+    assert (P * N) % 4 == 3 and -P * N in d0s
+    assert sorted(calls) == sorted(-d0 for d0 in d0s)
 
 
 def test_dimension_main():
