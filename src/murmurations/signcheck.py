@@ -52,8 +52,9 @@ def m_max_bounds() -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SignCheckConfig:
-    """Truncation set, inner-series cutoff, scan offsets, and the advisory
-    threshold the certificate compares its recomputed budget against."""
+    """Truncation set D, inner-series cutoff S (each f value carries the
+    certified tail bound 2/sqrt(S)), and the offsets o of the scanned grids
+    k + o."""
 
     D: tuple[int, ...] = DEFAULT_D
     S: int = 4_010_000          # 2/sqrt(S) < 0.001
@@ -120,9 +121,11 @@ def f_polylog(x: float, S: int) -> tuple[float, float]:
     if S < 1:
         raise ValueError("S must be >= 1")
     w = _s_weights(S)
-    s = np.arange(1, S + 1, dtype=np.float64)
-    val = float(np.dot(np.cos(4.0 * math.pi * x * s - 0.75 * math.pi), w))
-    return val, 2.0 / math.sqrt(S)
+    a = np.arange(1, S + 1, dtype=np.float64)
+    a *= 4.0 * math.pi * x
+    a -= 0.75 * math.pi
+    np.cos(a, out=a)
+    return float(np.dot(a, w)), 2.0 / math.sqrt(S)
 
 
 @lru_cache(maxsize=8)
@@ -174,9 +177,10 @@ def grid_verify(cfg: SignCheckConfig,
 
     Budget = max(own recomputed budget, the reference reading's budget);
     a gridpoint passes when |M_D| clears budget + inner tail + 1e-9 float
-    slack with the offset's claimed sign (taken from its first gridpoint).
-    f values are cached on the exact rational lattice (k + o)/d mod 1/2,
-    so each distinct inner argument is evaluated once.
+    slack with the offset's claimed sign (taken from its first gridpoint);
+    a non-finite total fails its offset.  With the offset written o =
+    num/den, (k + o)/d mod 1/2 = r/(2 den d) with r = 2(k den + num) mod
+    (den d), so f is evaluated once per distinct lattice point.
     """
     own = qsqrt_upper if qsqrt_upper is not None else qsqrt_sum_upper_bound()
     budget = max(error_budget(cfg.D, own),
@@ -187,33 +191,30 @@ def grid_verify(cfg: SignCheckConfig,
     inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
     cert = SignCheckCertificate(period=per, error_budget=budget,
                                 inner_tail=inner_tail, grid=npts)
-    half = Fraction(1, 2)
+    ks = np.arange(1, npts + 1, dtype=np.int64)
     for o in cfg.offsets:
         ofr = _offset_fraction(o)
-        cache: dict[Fraction, float] = {}
-        sign = 0
-        worst = math.inf
-        worst_k = 0
-        ok = True
-        for k in range(1, npts + 1):
-            total = 0.0
-            for d, wd in zip(cfg.D, weights):
-                key = Fraction(k + ofr, d) % half
-                got = cache.get(key)
-                if got is None:
-                    got, _ = f_polylog(float(key), cfg.S)
-                    cache[key] = got
-                total += wd * got
-            if sign == 0:
-                sign = 1 if total > 0 else -1
-            margin = abs(total) - (budget + inner_tail + 1e-9)
-            if margin < worst:
-                worst, worst_k = margin, k
-            if margin <= 0 or (total > 0) != (sign > 0):
-                ok = False
+        num, den = ofr.numerator, ofr.denominator
+        cache: dict[float, float] = {}
+        total = np.zeros(npts, dtype=np.float64)
+        for d, wd in zip(cfg.D, weights):
+            r = (2 * den * (ks % d) + 2 * num) % (den * d)
+            lattice, inv = np.unique(r, return_inverse=True)
+            vals = np.empty(lattice.size, dtype=np.float64)
+            for i, ri in enumerate(lattice.tolist()):
+                key = ri / (2 * den * d)
+                if key not in cache:
+                    cache[key], _ = f_polylog(key, cfg.S)
+                vals[i] = cache[key]
+            total += wd * vals[inv]
+        sign = 1 if total[0] > 0 else -1
+        margins = np.abs(total) - (budget + inner_tail + 1e-9)
+        i = int(np.argmin(margins))
+        ok = bool(np.isfinite(total).all() and (margins > 0).all()
+                  and ((total > 0) == (sign > 0)).all())
         cert.verdicts.append(OffsetVerdict(offset=o, sign=sign,
-                                           worst_margin=worst,
-                                           worst_k=worst_k, passed=ok))
+                                           worst_margin=float(margins[i]),
+                                           worst_k=i + 1, passed=ok))
     return cert
 
 
@@ -223,32 +224,37 @@ def grid_verify(cfg: SignCheckConfig,
 
 @lru_cache(maxsize=1)
 def _f_grid(log2_size: int = 21, S: int = 2 * 10 ** 7
-            ) -> tuple[np.ndarray, float]:
+            ) -> tuple[np.ndarray, np.ndarray, float]:
     """f sampled at M = 2^log2_size equispaced points of its period [0, 1/2)
     by folding the series coefficients mod M through a single FFT.
 
-    Returns (samples, series tail bound 2/sqrt(S)).  Linear interpolation
-    between samples adds a small non-certified error concentrated at the
-    half-integer cusps; probes using this grid are reported, not certified.
+    Returns (the interpolation grid 0..M, the M samples followed by the wrap
+    point f(1/2) = f(0), series tail bound 2/sqrt(S)).  The fold adds one
+    M-length block of s^(-3/2) at a time, so memory is O(M) whatever S is.
+    Linear interpolation between samples adds a small non-certified error
+    concentrated at the half-integer cusps; probes using this grid are
+    reported, not certified.
     """
     m = 1 << log2_size
-    s = np.arange(1, S + 1, dtype=np.int64)
     coef = np.zeros(m, dtype=np.float64)
-    np.add.at(coef, (s % m), s.astype(np.float64) ** -1.5)
-    spectrum = np.fft.ifft(coef) * m
-    phase = complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
-    samples = np.real(phase * spectrum)
-    return samples, 2.0 / math.sqrt(S)
+    for lo in range(0, S + 1, m):
+        start, stop = max(lo, 1), min(lo + m, S + 1)
+        coef[start - lo:stop - lo] += np.arange(start, stop,
+                                                dtype=np.float64) ** -1.5
+    spectrum = np.fft.ifft(coef)
+    spectrum *= m
+    spectrum *= complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
+    table = np.empty(m + 1, dtype=np.float64)
+    table[:m] = spectrum.real
+    table[m] = table[0]
+    return np.arange(m + 1, dtype=np.float64), table, 2.0 / math.sqrt(S)
 
 
 def f_interpolated(x: np.ndarray) -> np.ndarray:
     """Approximate f at arbitrary points from the FFT-sampled period."""
-    samples, _ = _f_grid()
-    m = samples.size
-    pos = np.mod(np.asarray(x, dtype=np.float64), 0.5) * (2 * m)
-    grid = np.arange(m + 1, dtype=np.float64)
-    wrapped = np.concatenate([samples, samples[:1]])
-    return np.interp(pos, grid, wrapped)
+    grid, table, _ = _f_grid()
+    pos = np.mod(np.asarray(x, dtype=np.float64), 0.5) * (2 * (grid.size - 1))
+    return np.interp(pos, grid, table)
 
 
 @dataclass
@@ -265,6 +271,9 @@ class SecondPeakReport:
 
     @property
     def certified_negative(self) -> bool:
+        """max_value + error_bound < 0.  Not a certificate: max_value comes
+        from the linearly interpolated S = 2e7 profile and carries no bound,
+        and error_bound covers only the discarded d > dmax tail."""
         return self.max_value + self.error_bound < 0.0
 
 

@@ -154,3 +154,14 @@ def test_signcheck_small_cutoff(tmp_path):
     report = (tmp_path / "r.csv").read_text().splitlines()
     assert len(report) == 4  # header + one verdict per offset
     assert all(line.endswith("pass") for line in report[1:])
+
+
+def test_signcheck_with_probe(tmp_path):
+    res = run(["signcheck", "--offsets", "0", "--S", "40000",
+               "--report", str(tmp_path / "r.csv")], tmp_path)
+    assert res.returncode == 0
+    grid, probe = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    assert grid.startswith("grid,0.0,-1,") and grid.endswith(",pass")
+    check, argmax, sign, _, dmax, verdict = probe.split(",")
+    assert (check, float(argmax), sign, dmax, verdict) == \
+        ("second_peak", 15014.6, "-1", "5000", "pass")

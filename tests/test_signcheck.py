@@ -2,6 +2,7 @@
 periodicity, budgets, and the grid/probe machinery at reduced cutoffs."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations import signcheck
 from murmurations.signcheck import (DEFAULT_D, M_D, SignCheckConfig,
-                                    error_budget, f_interpolated, f_polylog,
-                                    grid_verify, m_max_bounds, period,
-                                    second_peak_probe)
+                                    _f_grid, _s_weights, error_budget,
+                                    f_interpolated, f_polylog, grid_verify,
+                                    m_max_bounds, period, second_peak_probe)
 
 
 def _f_oracle(x, S):
@@ -150,3 +152,116 @@ def test_second_peak_probe_against_polylog_oracle():
                     4 * mp.mpf(rep.argmax) / d)))
                 total += mp.mpf(q.numerator) / q.denominator * mp.sqrt(d) * f
     assert rep.max_value == pytest.approx(float(total), abs=2e-3)
+
+
+# Bit-identity oracles: each copies an earlier, memory-hungrier formula and
+# requires the current one to give the same bits.
+
+@pytest.mark.parametrize("log2_size,S", [(4, 10), (4, 16), (4, 17),
+                                         (10, 5000), (12, 3 * 4096),
+                                         (12, 3 * 4096 + 1)])
+def test_streamed_fold_matches_add_at(log2_size, S):
+    m = 1 << log2_size
+    s = np.arange(1, S + 1, dtype=np.int64)
+    coef = np.zeros(m, dtype=np.float64)
+    np.add.at(coef, (s % m), s.astype(np.float64) ** -1.5)
+    phase = complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
+    samples = np.real(phase * (np.fft.ifft(coef) * m))
+    grid, table, tail = _f_grid.__wrapped__(log2_size, S)
+    assert table[:m].tobytes() == samples.tobytes()
+    assert table[m] == table[0]
+    assert grid.tobytes() == np.arange(m + 1, dtype=np.float64).tobytes()
+    assert tail == 2.0 / math.sqrt(S)
+
+
+def test_f_polylog_matches_single_expression():
+    for S in (1, 7, 5000, 10 ** 5):
+        s = np.arange(1, S + 1, dtype=np.float64)
+        for x in (0.0, 1 / 3, 0.162, 0.5, 0.777, 3.162, 1e-9):
+            want = float(np.dot(np.cos(4.0 * math.pi * x * s
+                                       - 0.75 * math.pi), _s_weights(S)))
+            assert f_polylog(x, S)[0] == want
+
+
+def test_f_interpolated_matches_fresh_table():
+    _, table, _ = _f_grid()
+    m = table.size - 1
+    samples = table[:m].copy()
+    xs = np.linspace(-3.0, 7.0, 20001)
+    pos = np.mod(xs, 0.5) * (2 * m)
+    want = np.interp(pos, np.arange(m + 1, dtype=np.float64),
+                     np.concatenate([samples, samples[:1]]))
+    assert f_interpolated(xs).tobytes() == want.tobytes()
+
+
+def _grid_verify_fraction_loop(cfg):
+    """The scan keyed on exact Fractions (k + o)/d mod 1/2, one gridpoint
+    at a time: (sign, worst margin, worst k, passed) per offset."""
+    budget = max(error_budget(cfg.D, signcheck.qsqrt_sum_upper_bound()),
+                 error_budget(cfg.D, signcheck.REFERENCE_QSQRT_BOUND))
+    per = period(cfg.D)
+    npts = int(per) if per.denominator == 1 else int(2 * per)
+    weights = signcheck._weights_for(cfg.D)
+    inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
+    out = []
+    for o in cfg.offsets:
+        ofr = Fraction(o).limit_denominator(10 ** 9)
+        cache = {}
+        sign, worst, worst_k, ok = 0, math.inf, 0, True
+        for k in range(1, npts + 1):
+            total = 0.0
+            for d, wd in zip(cfg.D, weights):
+                key = Fraction(k + ofr, d) % Fraction(1, 2)
+                if key not in cache:
+                    cache[key] = f_polylog(float(key), cfg.S)[0]
+                total += wd * cache[key]
+            if sign == 0:
+                sign = 1 if total > 0 else -1
+            margin = abs(total) - (budget + inner_tail + 1e-9)
+            if margin < worst:
+                worst, worst_k = margin, k
+            if margin <= 0 or (total > 0) != (sign > 0):
+                ok = False
+        out.append((sign, worst, worst_k, ok))
+    return out
+
+
+def test_grid_verify_matches_fraction_loop():
+    cfg = SignCheckConfig(D=(2, 3, 5, 7), S=5000,
+                          offsets=(0.0, 0.5, 0.162, 0.3))
+    got = [(v.sign, v.worst_margin, v.worst_k, v.passed)
+           for v in grid_verify(cfg).verdicts]
+    assert got == _grid_verify_fraction_loop(cfg)
+
+
+def test_grid_verify_fails_non_finite_total(monkeypatch):
+    # a NaN at one lattice point must fail the offset, not slip through
+    # both the margin and the sign comparison
+    def fake(x, S):
+        return (math.nan if x == 0.25 else -100.0), 2.0 / math.sqrt(S)
+
+    monkeypatch.setattr(signcheck, "f_polylog", fake)
+    cfg = SignCheckConfig(D=(1, 2), S=5000, offsets=(0.0, 0.5))
+    ok, bad = grid_verify(cfg).verdicts     # k = 1: x = 0 and x = 1/4
+    assert ok.passed and not bad.passed
+
+
+# Memory guards: the profile's temporaries scale with its output, not S.
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_f_grid_memory_independent_of_S():
+    assert _traced_peak_mb(lambda: _f_grid.__wrapped__(12, 2_000_000)) < 1.0
+
+
+def test_f_polylog_one_temporary():
+    _s_weights(10 ** 6)
+    assert _traced_peak_mb(lambda: f_polylog(0.3, 10 ** 6)) < 12.0
