@@ -23,6 +23,10 @@ mod 4.
 The batch tabulation stores 6 H_1(-d), always an integer, as an int32
 array; its cache file (MURH1 version 2) is a fixed header followed by
 that array's raw bytes.
+
+scipy is imported only inside gauss_h_certified (erfc) and
+density.BesselAntiderivative (jv): a process that never computes a
+certified class number does not load it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as _np
-from scipy.special import erfc as _erfc
 
 from .arith import kronecker, shared_sieve
 
@@ -261,6 +264,7 @@ def gauss_h_certified(q: int) -> int:
     float rounding in the partial sum, which the margin absorbs.  A
     non-fundamental -q raises ValueError (see hurwitz_H1_certified).
     """
+    from scipy.special import erfc  # deferred: ~0.37 s of start-up
     if fundamental_decomposition(q) != (-q, 1):
         raise ValueError(f"-{q} is not a fundamental discriminant")
     if q == 3 or q == 4:
@@ -278,7 +282,7 @@ def gauss_h_certified(q: int) -> int:
     # only n with chi(n) != 0 contribute
     n = _np.flatnonzero(chi) + 1
     x = n * math.sqrt(math.pi / q)
-    terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * _erfc(x)
+    terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * erfc(x)
     lval = float(_np.dot(chi[n - 1], terms))
     happrox = math.sqrt(q) / math.pi * lval
     h = round(happrox)

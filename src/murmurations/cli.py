@@ -78,7 +78,7 @@ def _parse_grid(spec: str) -> list[float]:
     except ValueError as exc:
         raise SystemExit(f"bad grid spec {spec!r}; expected start:stop:step"
                          ) from exc
-    if step <= 0 or stop < start:
+    if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
         raise SystemExit(f"bad grid spec {spec!r}")
     n = int(round((stop - start) / step))
     return [start + i * step for i in range(n + 1)]
@@ -127,6 +127,8 @@ def _cmd_trace_average(args: argparse.Namespace) -> int:
 
 
 def _cmd_dyadic_average(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.c):
+        raise SystemExit(f"--c must be finite, got {args.c}")
     table = _load_table_if_covering(args.hurwitz_cache,
                                     int(4 * args.P * args.c * args.X) + 4)
     rep = dyadic_average(args.X, args.c, args.P, args.k, table=table)

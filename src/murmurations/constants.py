@@ -85,7 +85,8 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
     scale, f, c = _KINDS[kind]
-    logs = math.fsum(math.log1p(f(int(p))) for p in primes_upto(pmax))
+    # a memoryview yields Python ints without building a list of them
+    logs = math.fsum(map(math.log1p, map(f, memoryview(primes_upto(pmax)))))
     value = scale * math.exp(logs)
     if kind == "Delta":
         value /= ZETA2

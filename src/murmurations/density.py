@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from .constants import euler_constant
 from .multfns import Q, nu
@@ -431,6 +430,7 @@ class BesselAntiderivative:
     coefficients: dict[int, float]
 
     def __call__(self, x: float) -> float:
+        from scipy.special import jv  # deferred: ~0.37 s of start-up
         return float(sum(c * jv(t, x) for t, c in self.coefficients.items())
                      / x ** 4)
 

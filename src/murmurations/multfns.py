@@ -7,6 +7,7 @@ forces are first-class operations, not test scaffolding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,13 +125,19 @@ def _theta_local(p: int, a: int, r: int) -> int:
     return -(p ** (a - 1)) if a % 2 else p ** (a - 1) * (p - 2)
 
 
+@functools.cache
+def _kronecker_row(m: int) -> tuple[int, ...]:
+    """(a|m) for 0 <= a < m; row[n % m] == (n|m) for m odd or 8 | m."""
+    return tuple(kronecker(a, m) for a in range(m))
+
+
 def theta_bruteforce(r: int, m: int, P: int) -> int:
     """Direct evaluation of the defining character sum."""
     _check_v2(m, "m")
     r2 = r * r
     fourP = 4 * P
-    return sum(kronecker(a, m) * kronecker(a * r2 - fourP, m)
-               for a in range(m))
+    row = _kronecker_row(m)
+    return sum(row[a] * row[(a * r2 - fourP) % m] for a in range(m))
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +182,14 @@ def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
         return 0
     d2 = d * d
     r2 = r * r
+    row = _kronecker_row(g)
     total = 0
     for t in rs.residues:
         for v in range(g):
             a = t + v * d2
             s, rem = divmod(a * r2 - 4 * P, d2)
             assert rem == 0
-            total += kronecker(a, g) * kronecker(s, g)
+            total += row[a % g] * row[s % g]
     return total
 
 

@@ -1,9 +1,12 @@
-"""CLI plumbing: exit codes, deterministic CSV, cache handling, SVG purity."""
+"""CLI plumbing: exit codes, deterministic CSV, cache handling, SVG purity,
+and a start-up path that does not load scipy."""
 
+import ast
 import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,21 @@ def test_usage_error_exit_2(tmp_path):
     assert run(["density"], tmp_path).returncode == 2
     res = run(["density", "--k", "2", "--y-grid", "oops"], tmp_path)
     assert res.returncode == 2
+
+
+def test_non_finite_grid_exits_2(tmp_path):
+    res = run(["density", "--k", "2", "--y-grid", "0:inf:1"], tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.strip().splitlines() == ["bad grid spec '0:inf:1'"]
+
+
+def test_non_finite_dyadic_c_exits_2(tmp_path):
+    res = run(["dyadic-average", "--X", "100", "--c", "inf", "--P", "7",
+               "--k", "2"], tmp_path)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.strip().splitlines() == ["--c must be finite, got inf"]
 
 
 def test_density_grid_rows_and_determinism(tmp_path):
@@ -165,3 +183,52 @@ def test_signcheck_with_probe(tmp_path):
     check, argmax, sign, _, dmax, verdict = probe.split(",")
     assert (check, float(argmax), sign, dmax, verdict) == \
         ("second_peak", 15014.6, "-1", "5000", "pass")
+
+
+# -- start-up cost ----------------------------------------------------------
+
+def test_cli_import_does_not_load_scipy():
+    """scipy.special costs ~0.37 s of start-up; only the certified class
+    number and the Bessel antiderivative import it, at their first call."""
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import murmurations.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def _module_level_scipy_imports(text: str) -> list[int]:
+    """Line numbers of scipy imports that run when the module is imported,
+    i.e. any outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n.split(".")[0] == "scipy" for n in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(text))
+    return found
+
+
+def test_no_module_level_scipy_import():
+    src = Path(cli.__file__).parent
+    offenders = [f"{path.name}:{line}"
+                 for path in sorted(src.glob("*.py"))
+                 for line in _module_level_scipy_imports(path.read_text())]
+    assert not offenders, offenders
+    # the scan sees a planted top-level import, and only that one
+    text = (src / "classnumbers.py").read_text()
+    assert "from scipy" in text
+    assert _module_level_scipy_imports("import scipy.special\n" + text) == [1]

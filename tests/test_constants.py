@@ -10,12 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import primes_upto
-from murmurations.constants import (ZETA2, euler_constant, q_table,
+from murmurations.constants import (_KINDS, ZETA2, euler_constant, q_table,
                                     q_weighted_sums, qsqrt_product,
                                     qsqrt_sum_upper_bound, zeta_3_2_partial)
 from murmurations.multfns import Q
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
+
+
+@pytest.mark.parametrize("pmax", [10 ** 4, 10 ** 6])
+def test_euler_constant_matches_per_prime_generator(pmax):
+    """Summing over the Python ints a memoryview yields gives the same bits
+    as calling f(int(p)) on each numpy prime."""
+    for kind in KINDS:
+        scale, f, _ = _KINDS[kind]
+        logs = math.fsum(math.log1p(f(int(p))) for p in primes_upto(pmax))
+        value = scale * math.exp(logs)
+        if kind == "Delta":
+            value /= ZETA2
+        assert euler_constant(kind, pmax).value == value, kind
 
 
 def test_zeta_against_mpmath():

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations.arith import kronecker
 from murmurations.constants import euler_constant
-from murmurations.multfns import (Q, is_admissible, nu, phi_circ,
-                                  phi_circ_bruteforce, remainder_set,
+from murmurations.multfns import (Q, _kronecker_row, is_admissible, nu,
+                                  phi_circ, phi_circ_bruteforce, remainder_set,
                                   smooth_square_gs, theta, theta_bruteforce,
                                   theta_sum_partial)
 
@@ -20,6 +21,18 @@ def _valid_m(mmax, P):
 
 
 # -- theta ------------------------------------------------------------------
+
+def test_kronecker_row_is_periodic_in_n():
+    """The brute forces read (n|m) as row[n % m]; that holds for m odd or
+    8 | m, negative n included."""
+    for m in range(1, 400):
+        if m % 2 == 0 and m % 8:
+            continue
+        row = _kronecker_row(m)
+        assert len(row) == m
+        for n in range(-3 * m, 3 * m):
+            assert row[n % m] == kronecker(n, m), (n, m)
+
 
 @pytest.mark.parametrize("P", [5, 11])
 def test_theta_matches_bruteforce(P):
