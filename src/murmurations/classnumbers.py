@@ -13,7 +13,10 @@ Two routes, cross-checked against each other:
 
     w(d0) the number of units (6 at -3, 4 at -4, else 2).  h(d0) is a
     smoothed character sum that provably rounds to the exact integer,
-    fast enough for discriminants ~ 10^9 (``gauss_h_certified``).
+    fast enough for discriminants ~ 10^11 (``gauss_h_certified``); its
+    character (d0|n) is a product of quadratic-residue tables mod the odd
+    primes of d0 and a mod-8 table for its 2-part (``_chi_table``), and
+    its erfc a numpy polynomial (``_erfcx``).
 
 Conventions: h counts primitive reduced forms (so h(-3) = h(-4) = 1).
 H_1(-d) counts all reduced forms, primitive or not, weighting the classes
@@ -24,9 +27,7 @@ The batch tabulation stores 6 H_1(-d), always an integer, as an int32
 array; its cache file (MURH1 version 2) is a fixed header followed by
 that array's raw bytes.
 
-scipy is imported only inside gauss_h_certified (erfc) and
-density.BesselAntiderivative (jv): a process that never computes a
-certified class number does not load it.
+Everything here is numpy: no class-number route loads scipy.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 
 import numpy as _np
 
-from .arith import kronecker, shared_sieve
+from .arith import kronecker, primes_upto, shared_sieve
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +261,37 @@ def gauss_h_certified(q: int) -> int:
     with tail beyond n0 at most (q/(pi n0^2)) exp(-pi n0^2/q).  The cutoff
     is chosen so the resulting error in h is below 0.05, and the float is
     rounded to the nearest integer; a rounding margin worse than 0.25
-    falls back to form counting.  The bound covers the truncated tail, not
-    float rounding in the partial sum, which the margin absorbs.  A
-    non-fundamental -q raises ValueError (see hurwitz_H1_certified).
+    falls back to form counting.  The bound covers the truncated tail and
+    the error of the numpy erfc, at most n0 * 1e-15 in h (n0 ~ 1e6 at q ~ 1e11);
+    it does not cover float rounding in the partial sum, which the margin
+    absorbs.  A non-fundamental -q raises ValueError (see
+    hurwitz_H1_certified).
     """
-    from scipy.special import erfc  # deferred: ~0.37 s of start-up
     if fundamental_decomposition(q) != (-q, 1):
         raise ValueError(f"-{q} is not a fundamental discriminant")
     if q == 3 or q == 4:
         return 1
-    # cutoff: want (q/u) e^{-u} <= 0.05 * pi/sqrt(q) with u = pi n0^2/q
+    n0 = _cutoff(q)
+    chi = _chi_table(-q, n0)
+    # only n with chi(n) != 0 contribute; blocks of 16384 stay in cache
+    support = _np.flatnonzero(chi) + 1
+    lval = 0.0
+    for i in range(0, len(support), 1 << 14):
+        n = support[i:i + (1 << 14)]
+        x = n * math.sqrt(math.pi / q)
+        # exp(-x^2)/n + (pi/sqrt(q)) erfc(x), erfc(x) = exp(-x^2) _erfcx(x)
+        terms = _np.exp(-x * x) * (1 / n + math.pi / math.sqrt(q) * _erfcx(x))
+        lval += float(_np.dot(chi[n - 1], terms))
+    happrox = math.sqrt(q) / math.pi * lval
+    h = round(happrox)
+    if abs(happrox - h) > 0.25:
+        h = gauss_h_bruteforce(q)
+    return h
+
+
+def _cutoff(q: int) -> int:
+    """The n0 of gauss_h_certified: (q/u) e^{-u} <= 0.05 pi/sqrt(q) with
+    u = pi n0^2/q, so the truncated tail moves h by at most 0.05."""
     target = 0.05 * math.pi / math.sqrt(q)
     u = 2.0
     for _ in range(60):
@@ -277,18 +299,37 @@ def gauss_h_certified(q: int) -> int:
         if u < 2.0:
             u = 2.0
             break
-    n0 = math.isqrt(int(q * u / math.pi)) + 2
-    chi = _chi_table(-q, n0)
-    # only n with chi(n) != 0 contribute
-    n = _np.flatnonzero(chi) + 1
-    x = n * math.sqrt(math.pi / q)
-    terms = _np.exp(-x * x) / n + (math.pi / math.sqrt(q)) * erfc(x)
-    lval = float(_np.dot(chi[n - 1], terms))
-    happrox = math.sqrt(q) / math.pi * lval
-    h = round(happrox)
-    if abs(happrox - h) > 0.25:
-        h = gauss_h_bruteforce(q)
-    return h
+    return math.isqrt(int(q * u / math.pi)) + 2
+
+
+# (1 + 2x) exp(x^2) erfc(x) = Sum_k _ERFC_T[k] t^k, t = (x - 3.75)/(x + 3.75),
+# for every x >= 0 (t runs from -1 at x = 0 to 1 as x grows), to 4e-16
+# relative: the form of Shepherd and Laframboise (Math. Comp. 36, 1981),
+# here the degree-23 Chebyshev interpolant in t computed with mpmath at 40
+# digits and written out in powers of t.  No coefficient exceeds 1.3, so
+# Horner's rule loses nothing to cancellation.
+_ERFC_T = (
+    1.2375126308378275, -0.14024059858554697, 0.0035854154854790257,
+    0.0822767384901452, -0.10880393014244462, 0.09230432116037748,
+    -0.05869339857664934, 0.028362277418956406, -0.009746579683265262,
+    0.0017556258528952954, 0.000293714378044958, -0.0002901540805408417,
+    5.164652974177416e-05, 2.238423915508223e-05, -1.1438048033346894e-05,
+    -9.73559896736775e-07, 1.7419821586224816e-06, -5.7218230603224086e-08,
+    -2.4857126248016745e-07, 2.3263508708859124e-08, 3.197926671666804e-08,
+    -3.744210080962018e-09, -2.623107347133476e-09, 3.1114333809799254e-10,
+)
+
+
+def _erfcx(x):
+    """exp(x^2) erfc(x) for a float array x >= 0; exp(-x^2) _erfcx(x) is
+    erfc(x) within 1e-15 absolute."""
+    t = (x - 3.75) / (x + 3.75)
+    y = _np.full_like(t, _ERFC_T[-1])
+    for c in _ERFC_T[-2::-1]:
+        y *= t
+        y += c
+    y /= 1 + 2 * x
+    return y
 
 
 @functools.cache
@@ -310,77 +351,85 @@ def hurwitz_H1_certified(d: int) -> Fraction:
     return Fraction(gauss_h_certified(-d0) * total, {3: 3, 4: 2}.get(-d0, 1))
 
 
-# Composites 4 <= n <= extent grouped by Omega(n) (prime factors counted
-# with multiplicity): one triple of int32 arrays (n, spf n, n / spf n), n
-# ascending, per Omega = 2, 3, ...  The grouping depends on n alone, so it
-# outlives a replaced shared sieve.
-_omega_layers: tuple[int, list] = (1, [])
-
-
-def _composite_layers(n0: int, spf):
-    """The cached Omega layers cut to n <= n0.
-
-    The cache is rebuilt only when n0 outgrows it, rounded up to a power
-    of two (at most the sieve's reach, len(spf) - 1) so that a slowly
-    growing n0 does not rebuild it on every call.
-    """
-    global _omega_layers
-    extent, layers = _omega_layers
-    if n0 > extent:
-        extent = min(1 << (n0 - 1).bit_length(), len(spf) - 1)
-        spf = spf[:extent + 1].astype(_np.int32)  # a copy, int32 like n
-        n = _np.arange(extent + 1, dtype=_np.int32)
-        omega = _np.zeros(extent + 1, dtype=_np.int8)
-        rest = n.copy()
-        rest[:2] = 1
-        while True:
-            left = rest > 1
-            if not left.any():
-                break
-            omega += left
-            rest //= spf[rest]
-        layers = []
-        for k in range(2, int(omega.max()) + 1):
-            nk = n[omega == k]
-            pk = spf[nk]
-            layers.append((nk, pk, nk // pk))
-        _omega_layers = (extent, layers)
-    cut = []
-    for nk, pk, mk in layers:
-        i = _np.searchsorted(nk, n0, side="right")
-        cut.append((nk[:i], pk[:i], mk[:i]))
-    return cut
-
-
 def _chi_table(d0: int, n0: int):
-    """chi_{d0}(n) = (d0|n) for n = 1..n0 as a float array of -1, 0, +1.
+    """chi_{d0}(n) = (d0|n) for n = 1..n0 as an int8 array of -1, 0, +1,
+    for a discriminant d0 (d0 = 0 or 1 mod 4).
 
-    Array code over the shared sieve, grown to cover n0: odd primes take
-    Euler's criterion (d0|p) = d0^((p-1)/2) mod p, vectorized over the
-    primes, p = 2 takes kronecker, and composites follow by complete
-    multiplicativity, chi(n) = chi(spf n) chi(n / spf n), one Omega(n)
-    layer at a time so each entry is written once.
+    A product of prime-discriminant characters (Cox, Primes of the form
+    x^2 + ny^2, Sections 7 and 9): with l* = (-1)^((l-1)/2) l for each odd
+    prime l^e || d0 and u = d0 / prod l*^e, the 2-part (1, -4, 8, -8, or
+    another +-2^a when d0 is not fundamental),
+
+        (d0|n) = (u|n) prod_l (l*|n)^e = (u|n) prod_l (n|l)^e,
+
+    where (u|n) has period 8 in n and (n|l) is the quadratic-residue table
+    mod l, tiled to n0.  A prime l > 4 n0 takes _legendre_upto instead of
+    a table of l entries.
     """
-    # p^2 must fit in int64 for the vectorized modular products
-    assert n0 < 3 * 10 ** 9
-    spf = _np.frombuffer(shared_sieve(n0).spf, dtype=_np.int64)
-    chi = _np.zeros(n0 + 1, dtype=_np.float64)
-    chi[1:2] = 1.0  # chi(1), present when n0 >= 1
-    if n0 >= 2:
-        chi[2] = kronecker(d0, 2)
-    n = _np.arange(3, n0 + 1, 2, dtype=_np.int64)
-    odd = n[spf[n] == n]
-    if -2 ** 62 < d0 < 2 ** 62:
-        a = _np.int64(d0) % odd
-    else:
-        a = _np.array([d0 % p for p in odd.tolist()], dtype=_np.int64)
-    e = (odd - 1) >> 1
-    r = _np.ones_like(odd)
-    while e.any():
-        r = _np.where(e & 1, r * a % odd, r)
-        a = a * a % odd
-        e >>= 1
-    chi[odd] = _np.where(r == 1, 1.0, _np.where(r == 0, 0.0, -1.0))
-    for nk, pk, mk in _composite_layers(n0, spf):
-        chi[nk] = chi[pk] * chi[mk]
+    assert d0 % 4 in (0, 1), d0
+    chi = _np.ones(n0 + 1, dtype=_np.int8)  # chi[n], n = 0..n0
+    u = d0
+    for l, e in shared_sieve().factor(abs(d0)):
+        if l == 2:
+            continue
+        u //= (l if l % 4 == 1 else -l) ** e
+        if e % 2 == 0:
+            chi[::l] = 0
+        elif l > 4 * n0:
+            chi[1:] *= _legendre_upto(n0, l)
+        else:
+            row = _np.full(l, -1, dtype=_np.int8)
+            row[0] = 0
+            i = _np.arange(1, l // 2 + 1, dtype=_np.int64)
+            row[i * i % l] = 1
+            _times_periodic(chi, row)
+    if u != 1:
+        _times_periodic(chi, _np.array([kronecker(u, r) for r in range(8)],
+                                       dtype=_np.int8))
     return chi[1:]
+
+
+def _times_periodic(chi, row) -> None:
+    """chi[n] *= row[n % len(row)] in place, without tiling row."""
+    m = len(row)
+    full = len(chi) // m * m
+    chi[:full].reshape(-1, m)[:] *= row
+    chi[full:] *= row[:len(chi) - full]
+
+
+def _legendre_upto(n0: int, l: int):
+    """(n|l) for n = 1..n0 and an odd prime l > n0, as an int8 array.
+
+    At a prime p <= n0, (p|l) = (l*|p) by reciprocity: Kronecker's (l*|2)
+    at p = 2, and Euler's criterion (l* mod p)^((p-1)/2) mod p at odd p,
+    in int64 whatever the size of l.  Complete multiplicativity then makes
+    (n|l) = (-1)^k, k the number of non-residue prime powers dividing n.
+    """
+    ls = l if l % 4 == 1 else -l
+    p = primes_upto(n0)[1:]
+    if abs(ls) < 2 ** 63:
+        a = _np.int64(ls) % p
+    else:
+        a = _np.array([ls % v for v in p.tolist()], dtype=_np.int64)
+    e = (p - 1) >> 1
+    r = _np.ones_like(p)
+    while e.any():
+        r = _np.where(e & 1, r * a % p, r)
+        a = a * a % p
+        e >>= 1
+    g = p[r != 1]
+    if n0 >= 2 and kronecker(ls, 2) == -1:
+        g = _np.concatenate(([2], g))
+    powers, base = [g], g
+    while len(g):
+        keep = g <= n0 // base
+        g, base = g[keep] * base[keep], base[keep]
+        powers.append(g)
+    g = _np.concatenate(powers)
+    # the multiples g, 2g, ..., of every such power g, as one running sum
+    # restarted at each g, counted once each
+    count = n0 // g
+    step = _np.repeat(g, count)
+    step[_np.cumsum(count)[:-1]] -= (g * count)[:-1]
+    k = _np.bincount(_np.cumsum(step), minlength=n0 + 1)[1:]
+    return (1 - 2 * (k & 1)).astype(_np.int8)

@@ -90,6 +90,8 @@ def remainder_set(r: int, d: int, P: int, *,
 # ---------------------------------------------------------------------------
 
 def _check_v2(n: int, name: str) -> int:
+    if n <= 0:
+        raise ValueError(f"{name} must be positive")
     v = 0
     while n % 2 == 0:
         n //= 2

@@ -2,18 +2,22 @@
 reconstruction, serialization, and the certified analytic route."""
 
 import ast
+import math
+import random
 import struct
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations import arith
-from murmurations.arith import build_sieve, kronecker, shared_sieve
-from murmurations.classnumbers import (_chi_table, fundamental_decomposition,
+from murmurations.arith import kronecker
+from murmurations.classnumbers import (_chi_table, _cutoff, _erfcx,
+                                       fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
                                        hurwitz_H1, hurwitz_H1_certified,
                                        hurwitz_sieve, load_table, save_table)
@@ -150,6 +154,36 @@ def test_certified_matches_bruteforce_desk_scale(d):
     assert hurwitz_H1_certified(d) == hurwitz_H1(d)
 
 
+def test_certified_matches_bruteforce_random_fundamental():
+    rng = random.Random(20231007)
+    qs = []
+    while len(qs) < 200:
+        q = rng.randrange(10 ** 6, 10 ** 8 + 1)
+        if q % 4 in (0, 3) and fundamental_decomposition(q) == (-q, 1):
+            qs.append(q)
+    bad = [q for q in qs if gauss_h_certified(q) != gauss_h_bruteforce(q)]
+    assert not bad, bad
+
+
+def test_erfc_against_math_and_mpmath():
+    """erfc(x) = exp(-x^2) _erfcx(x), as gauss_h_certified computes it, on
+    a dense grid over (0, x_max], x_max the largest argument it evaluates
+    for q < 1e18: the 1e-15 absolute error the certificate counts, and
+    1e-14 relative."""
+    q = 10 ** 18 - 1
+    x_max = _cutoff(q) * math.sqrt(math.pi / q)
+    assert 7.5 < x_max < 8.0
+    x = np.linspace(0.0, x_max, 200001)[1:]
+    got = np.exp(-x * x) * _erfcx(x)
+    with mpmath.workdps(30):
+        exact = [float(mpmath.erfc(v)) for v in x[::50].tolist()]
+    for mine, ref in ((got, [math.erfc(v) for v in x]), (got[::50], exact)):
+        ref = np.array(ref)
+        err = np.abs(mine - ref)
+        assert err.max() <= 1e-15, err.max()
+        assert (err / ref).max() <= 1e-14, (err / ref).max()
+
+
 def test_certified_needs_fundamental():
     for d in (11111103,        # -1234567 * 3^2
               12, 16, 28):
@@ -183,19 +217,19 @@ def test_only_classnumbers_counts_class_numbers():
 
 # d0 = 1 and 0 mod 4, fundamental and not (-63 = -7 * 3^2, -28 = -7 * 2^2,
 # -48 = -3 * 4^2), up to the desk-scale size -4 * 1499 * 3001, and one
-# beyond int64.
+# beyond int64; every 2-part u = d0 / prod l*^e of a fundamental d0 (1 at
+# -7, -4 at -20, 8 at -24, -8 at -8); a prime above 4 n0 for every n0
+# (1000003); primes above 3.04e9, whose squares leave int64, with 2-parts
+# -4, 8 and -8; and a prime above 2^64, beyond int64 itself.
 CHI_D0 = (-3, -4, -7, -8, -20, -163, -63, -28, -48, -4000004, -11111103,
-          -17993996, -(2 ** 70 + 3))
+          -17993996, -(2 ** 70 + 3), -24, -1000003, -4 * 3040000009,
+          -8 * 3040000039, -8 * 3040000009, -(2 ** 64 + 51))
 
 
 @pytest.mark.parametrize("d0", CHI_D0)
-def test_chi_table_matches_kronecker(d0, monkeypatch):
-    # With a 1000-sieve as the shared one, n0 = 1500 lies beyond it and
-    # _chi_table must grow it; monkeypatch restores the process-wide sieve.
-    monkeypatch.setattr(arith, "_shared", build_sieve(1000))
+def test_chi_table_matches_kronecker(d0):
     for n0 in (1, 2, 3, 97, 1500, 10007, 100003):
         want = [kronecker(d0, n) for n in range(1, n0 + 1)]
         got = _chi_table(d0, n0)
-        assert got.dtype == np.float64 and len(got) == n0
+        assert got.dtype == np.int8 and len(got) == n0
         assert got.tolist() == want, (d0, n0)
-    assert shared_sieve(1).limit >= 100003

@@ -188,8 +188,8 @@ def test_signcheck_with_probe(tmp_path):
 # -- start-up cost ----------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy():
-    """scipy.special costs ~0.37 s of start-up; only the certified class
-    number and the Bessel antiderivative import it, at their first call."""
+    """scipy.special costs ~0.3 s of start-up; only the Bessel
+    antiderivative imports it, at its first call."""
     res = subprocess.run(
         [sys.executable, "-c",
          "import murmurations.cli, sys; print('scipy' in sys.modules)"],
@@ -198,37 +198,58 @@ def test_cli_import_does_not_load_scipy():
     assert res.stdout == "False\n"
 
 
-def _module_level_scipy_imports(text: str) -> list[int]:
-    """Line numbers of scipy imports that run when the module is imported,
-    i.e. any outside a function body."""
+def test_certified_route_does_not_load_scipy(tmp_path):
+    """A trace average with no table computes certified class numbers
+    (numpy erfc) and still never imports scipy."""
+    code = ("import sys\n"
+            "from murmurations import cli, classnumbers\n"
+            "cli.main(['trace-average', '--X', '300', '--Y', '30', "
+            "'--P', '101', '--k', '2', '--out', sys.argv[1]])\n"
+            "print(classnumbers.hurwitz_H1_certified.cache_info().currsize > 0,"
+            " 'scipy' in sys.modules)\n")
+    env = dict(os.environ, MURMUR_CACHE_DIR=str(tmp_path / "cache"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "t.csv")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True False\n"
+
+
+def _scipy_imports(text: str) -> list[tuple[str, list[str]]]:
+    """Every scipy import in a module as (scope, imported names): scope is
+    the dotted path of the enclosing classes and functions, "" at module
+    level."""
     found = []
 
-    def visit(node):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
+            inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
             if isinstance(child, ast.Import):
                 names = [a.name for a in child.names]
             elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
+                names = [f"{child.module}.{a.name}" for a in child.names]
             else:
                 names = []
             if any(n.split(".")[0] == "scipy" for n in names):
-                found.append(child.lineno)
-            visit(child)
+                found.append((scope, names))
+            visit(child, inner)
 
-    visit(ast.parse(text))
+    visit(ast.parse(text), "")
     return found
 
 
 def test_no_module_level_scipy_import():
+    """The one scipy import in the package is the deferred jv of the
+    Bessel antiderivative."""
     src = Path(cli.__file__).parent
-    offenders = [f"{path.name}:{line}"
-                 for path in sorted(src.glob("*.py"))
-                 for line in _module_level_scipy_imports(path.read_text())]
-    assert not offenders, offenders
+    found = [(path.name, scope, names)
+             for path in sorted(src.glob("*.py"))
+             for scope, names in _scipy_imports(path.read_text())]
+    assert found == [("density.py", "BesselAntiderivative.__call__",
+                      ["scipy.special.jv"])], found
     # the scan sees a planted top-level import, and only that one
     text = (src / "classnumbers.py").read_text()
-    assert "from scipy" in text
-    assert _module_level_scipy_imports("import scipy.special\n" + text) == [1]
+    assert _scipy_imports("import scipy.special\n" + text) == \
+        [("", ["scipy.special"])]

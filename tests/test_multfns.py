@@ -61,6 +61,20 @@ def test_theta_rejects_bad_valuation():
         theta(1, 4, 7)
 
 
+# a non-positive m or g is rejected before the 2-adic valuation, which
+# never ends on 0
+@pytest.mark.parametrize("m", (0, -1, -8))
+def test_theta_rejects_nonpositive_modulus(m):
+    with pytest.raises(ValueError, match="m must be positive"):
+        theta(1, m, 7)
+
+
+@pytest.mark.parametrize("m", (0, -1, -8))
+def test_theta_bruteforce_rejects_nonpositive_modulus(m):
+    with pytest.raises(ValueError, match="m must be positive"):
+        theta_bruteforce(1, m, 7)
+
+
 # -- phi_circ ---------------------------------------------------------------
 
 def test_phi_circ_matches_bruteforce():
@@ -76,6 +90,18 @@ def test_phi_circ_matches_bruteforce():
                         continue
                     assert closed == phi_circ_bruteforce(r, d, g, P), \
                         (r, d, g, P)
+
+
+@pytest.mark.parametrize("g", (0, -1, -9))
+def test_phi_circ_rejects_nonpositive_g(g):
+    with pytest.raises(ValueError, match="g must be positive"):
+        phi_circ(1, 3, g, 7)
+
+
+@pytest.mark.parametrize("g", (0, -1, -9))
+def test_phi_circ_bruteforce_rejects_nonpositive_g(g):
+    with pytest.raises(ValueError, match="g must be positive"):
+        phi_circ_bruteforce(1, 3, g, 7)
 
 
 # -- remainder sets ---------------------------------------------------------
