@@ -5,8 +5,8 @@ printing the certificate, margins, and probe verdict."""
 import argparse
 import time
 
-from murmurations.signcheck import (SignCheckConfig, grid_verify,
-                                    second_peak_probe,
+from murmurations.signcheck import (PROBE_INTERVAL, SignCheckConfig,
+                                    grid_verify, second_peak_probe,
                                     third_sign_change_fraction)
 
 
@@ -32,7 +32,7 @@ def main() -> None:
     if not args.skip_probe:
         t0 = time.time()
         probe = second_peak_probe()
-        print(f"second peak on {probe.interval}: max {probe.max_value:+.4f} "
+        print(f"second peak on {PROBE_INTERVAL}: max {probe.max_value:+.4f} "
               f"at T={probe.argmax:.3f}, truncation error "
               f"{probe.error_bound:.4f}  ({time.time() - t0:.0f}s)")
         print("no extra sign change certified:" ,

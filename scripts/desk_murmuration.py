@@ -40,7 +40,7 @@ def main() -> None:
         cfg = DensityConfig(k=k)
         for P in primes:
             t0 = time.time()
-            rep = interval_average(args.X, args.Y, P, k, cfg=cfg)
+            rep = interval_average(args.X, args.Y, P, k)
             wavg = window_density(cfg, P, args.X, args.Y)
             print(f"{k:>3} {P:>7} {P / args.X:>6.2f} {rep.average:>10.4f} "
                   f"{rep.predicted:>10.4f} {rep.residual:>+10.4f} "

@@ -27,7 +27,7 @@ The batch tabulation stores 6 H_1(-d), always an integer, as an int32
 array; its cache file (MURH1 version 2) is a fixed header followed by
 that array's raw bytes.
 
-Everything here is numpy: no class-number route loads scipy.
+Every class-number route here needs numpy alone.
 """
 
 from __future__ import annotations

@@ -71,6 +71,10 @@ _KINDS: dict[str, tuple[float, object, float]] = {
 # zeta(2) = pi^2/6 in closed form (Euler).
 ZETA2 = math.pi ** 2 / 6
 
+# zeta(3/2) within 4.4e-16: the fsum of n^(-3/2) to S = 10^6 plus the
+# Euler-Maclaurin tail 2/sqrt(S) - S^(-3/2)/2 + S^(-5/2)/8.
+ZETA_3_2 = 2.6123753486854886
+
 
 @lru_cache(maxsize=None)
 def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
@@ -92,12 +96,6 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
         value /= ZETA2
     tail = abs(value) * math.expm1(2 * c / pmax)
     return EulerProductValue(value=value, pmax=pmax, tail_bound=tail)
-
-
-def zeta_3_2_partial(S: int) -> tuple[float, float]:
-    """(partial sum of n^(-3/2) to S, certified tail bound 2/sqrt(S))."""
-    s = math.fsum(k ** -1.5 for k in range(S, 0, -1))
-    return s, 2.0 / math.sqrt(S)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ cross-checked against each other:
                                   certified Euler-product bracket
 
 plus the oscillatory asymptotic profile, dyadic and smoothed averages,
-the k=2 dyadic closed form, and the Bessel antiderivative recursion.
+and the k=2 dyadic closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,23 +28,28 @@ from .constants import euler_constant
 from .multfns import Q, nu
 
 
+# Truncation of universal_asymptotic's double series: d <= ASYMPTOTIC_DMAX,
+# s <= ASYMPTOTIC_SMAX.
+ASYMPTOTIC_DMAX = 2000
+ASYMPTOTIC_SMAX = 4000
+
+# Absolute tolerance of every quadrature behind the density, and the
+# bisection depth at which adaptive_quadrature accepts a panel regardless.
+QUAD_TOL = 1e-9
+MAX_DEPTH = 52
+
+
 @dataclass(frozen=True)
 class DensityConfig:
-    """Weight and truncation/tolerance settings for density evaluations."""
+    """Even weight k and the prime cutoff pmax of the Euler-product
+    constants alpha, beta, gamma."""
 
     k: int
-    dmax: int = 2000
-    smax: int = 4000
     pmax: int = 10 ** 6
-    quad_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.k % 2:
             raise ValueError("k must be even and >= 2")
-        if self.dmax < 1 or self.smax < 1:
-            raise ValueError("dmax and smax must be >= 1")
-        if self.quad_tol <= 0:
-            raise ValueError("quad_tol must be positive")
 
 
 @lru_cache(maxsize=None)
@@ -119,14 +124,14 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float,
-                        breakpoints: tuple[float, ...] = (),
-                        max_depth: int = 52) -> tuple[float, float]:
+                        breakpoints: tuple[float, ...] = ()
+                        ) -> tuple[float, float]:
     """Integrate a vectorized callable on [a, b] to absolute tolerance tol.
 
     The interval is pre-split at every interior breakpoint (integrand kinks
     and singular points must be listed there); each piece is then bisected
-    adaptively with the Gauss-Kronrod 7-15 error estimate.  Returns
-    (value, accumulated error estimate).
+    adaptively with the Gauss-Kronrod 7-15 error estimate, down to
+    MAX_DEPTH bisections.  Returns (value, accumulated error estimate).
     """
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     total = 0.0
@@ -137,7 +142,7 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
         while stack:
             x0, x1, depth = stack.pop()
             val, err = _gk15(f, x0, x1)
-            if err <= tol * max((x1 - x0) / width, 1e-6) or depth >= max_depth:
+            if err <= tol * max((x1 - x0) / width, 1e-6) or depth >= MAX_DEPTH:
                 total += val
                 err_total += err
             else:
@@ -200,8 +205,7 @@ def _summed_kernel_integrand(order: int, c: float):
     return f
 
 
-def bessel_inner_sum(order: int, c: float,
-                     tol: float = 1e-10) -> tuple[float, float]:
+def bessel_inner_sum(order: int, c: float) -> tuple[float, float]:
     """sum_{s>=1} J_order(c s)/s, summed in closed form.  Returns
     (value, error estimate).
 
@@ -222,12 +226,11 @@ def bessel_inner_sum(order: int, c: float,
         bps += [t, math.pi - t]
         j += 1
     val, err = adaptive_quadrature(_summed_kernel_integrand(order, c),
-                                   0.0, math.pi, tol, tuple(bps))
+                                   0.0, math.pi, QUAD_TOL, tuple(bps))
     return val / math.pi, err / math.pi
 
 
-def murmuration_density_bessel(cfg: DensityConfig, y: float,
-                               tol: float | None = None
+def murmuration_density_bessel(cfg: DensityConfig, y: float
                                ) -> tuple[float, float]:
     """M_k(y) = alpha sqrt(y) sum_{d,s} Q(d) J_{k-1}(4 pi s sqrt(y)/d)/s,
     with the s-series summed in closed form.  Returns (value, tail_bound).
@@ -238,9 +241,6 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float,
     sum Q(d)/d = gamma/(alpha pi); only d <= 2 sqrt(y) need quadrature.
     The k=2 linear pieces reassemble exactly the -gamma y term of the
     Chebyshev form, so no separate subtraction appears here.
-
-    If tol is given and the certified tail_bound exceeds it, raises
-    ValueError rather than returning a value that cannot honor it.
     """
     if y <= 0:
         raise ValueError("y must be positive")
@@ -262,7 +262,7 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float,
         s_qd += q / d
         if q == 0:
             continue
-        v, e = bessel_inner_sum(order, 4.0 * math.pi * sy / d, cfg.quad_tol)
+        v, e = bessel_inner_sum(order, 4.0 * math.pi * sy / d)
         head += float(q) * v
         quad_err += float(q) * e
 
@@ -281,9 +281,6 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float,
     value = al.value * sy * (head + tail)
     tail_bound = al.value * sy * (quad_err + bracket)
     tail_bound += abs(value) * al.tail_bound / al.value
-    if tol is not None and tail_bound > tol:
-        raise ValueError(
-            f"requested tolerance {tol} is below the tail budget {tail_bound}")
     return value, tail_bound
 
 
@@ -295,8 +292,9 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     """The weight-independent oscillation profile in the T = sqrt(y)
     coordinate:
 
-        (-1)^(k/2-1) (alpha / (pi sqrt(2))) sum_{d<=dmax} Q(d) sqrt(d)
-            sum_{s<=smax} cos(4 pi s T / d - 3 pi/4) / s^(3/2)
+        (-1)^(k/2-1) (alpha / (pi sqrt(2))) sum_{d<=ASYMPTOTIC_DMAX} Q(d)
+            sqrt(d) sum_{s<=ASYMPTOTIC_SMAX} cos(4 pi s T / d - 3 pi/4)
+            / s^(3/2)
 
     so that M_k(T^2) = sqrt(T) * universal_asymptotic(T) + O(1); the
     amplitude comes from carrying the full sqrt(2/(pi z)) envelope of the
@@ -307,10 +305,10 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     if T <= 0:
         raise ValueError("T must be positive")
     al = euler_constant("alpha", cfg.pmax).value
-    s = np.arange(1, cfg.smax + 1, dtype=np.float64)
+    s = np.arange(1, ASYMPTOTIC_SMAX + 1, dtype=np.float64)
     sw = s ** -1.5
     total = 0.0
-    for d in range(1, cfg.dmax + 1):
+    for d in range(1, ASYMPTOTIC_DMAX + 1):
         q = _q_exact(d)
         if q == 0:
             continue
@@ -336,19 +334,18 @@ def _kink_breakpoints(y: float, lo: float, hi: float) -> tuple[float, ...]:
     return tuple(out)
 
 
-def dyadic_density(k: int, c: float, y: float, cfg: DensityConfig) -> float:
+def dyadic_density(c: float, y: float, cfg: DensityConfig) -> float:
     """The dyadic average 2/(c^2 - 1) * int_1^c u M_k(y/u) du by adaptive
     quadrature with forced breakpoints at every kink of M_k."""
     if c <= 1:
         raise ValueError("c must exceed 1")
     if y <= 0:
         raise ValueError("y must be positive")
-    kcfg = replace(cfg, k=k)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return np.array([ui * murmuration_density(kcfg, y / ui) for ui in u])
+        return np.array([ui * murmuration_density(cfg, y / ui) for ui in u])
 
-    val, _ = adaptive_quadrature(integrand, 1.0, c, cfg.quad_tol,
+    val, _ = adaptive_quadrature(integrand, 1.0, c, QUAD_TOL,
                                  _kink_breakpoints(y, 1.0, c))
     return 2.0 / (c * c - 1.0) * val
 
@@ -391,91 +388,28 @@ def dyadic_closed_form_k2(y: float, pmax: int = 10 ** 6) -> float:
     return value + c * (antider(hi) - antider(1.0))
 
 
-def smoothed_average(k: int, phi, y: float, cfg: DensityConfig,
+def smoothed_average(phi, y: float, cfg: DensityConfig,
                      support: tuple[float, float]) -> float:
     """The phi-weighted average
     (int M_k(y/u) phi(u) u du) / (int phi(u) u du) over the given support.
 
     phi must be a nonnegative callable vanishing outside support (a sharp
-    window 1_[1,c] is exactly dyadic_density(k, c, y, cfg))."""
+    window 1_[1,c] is exactly dyadic_density(c, y, cfg))."""
     lo, hi = support
     if not 0 < lo < hi:
         raise ValueError("support must satisfy 0 < lo < hi")
-    kcfg = replace(cfg, k=k)
     bps = _kink_breakpoints(y, lo, hi)
 
     def num(u: np.ndarray) -> np.ndarray:
-        return np.array([ui * phi(ui) * murmuration_density(kcfg, y / ui)
+        return np.array([ui * phi(ui) * murmuration_density(cfg, y / ui)
                          for ui in u])
 
     def den(u: np.ndarray) -> np.ndarray:
         return np.array([ui * phi(ui) for ui in u])
 
-    nval, _ = adaptive_quadrature(num, lo, hi, cfg.quad_tol, bps)
-    dval, _ = adaptive_quadrature(den, lo, hi, cfg.quad_tol)
+    nval, _ = adaptive_quadrature(num, lo, hi, QUAD_TOL, bps)
+    dval, _ = adaptive_quadrature(den, lo, hi, QUAD_TOL)
     if dval == 0.0:
         raise ZeroDivisionError("weight integrates to zero")
     return nval / dval
 
-
-# ---------------------------------------------------------------------------
-# Bessel antiderivative recursion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BesselAntiderivative:
-    """An antiderivative of J_K(x)/x^4 expressed as sum_t c_t J_t(x)/x^4."""
-
-    K: int
-    coefficients: dict[int, float]
-
-    def __call__(self, x: float) -> float:
-        from scipy.special import jv  # deferred: ~0.37 s of start-up
-        return float(sum(c * jv(t, x) for t, c in self.coefficients.items())
-                     / x ** 4)
-
-
-def _lower_power(coeffs: dict[int, Fraction]) -> dict[int, Fraction]:
-    """Rewrite sum c_t J_t / x^n as an equal sum over J_t / x^(n-1) via
-    J_t(x)/x = (J_{t-1}(x) + J_{t+1}(x)) / (2t)."""
-    out: dict[int, Fraction] = {}
-    for t, c in coeffs.items():
-        half = c / (2 * t)
-        out[t - 1] = out.get(t - 1, Fraction(0)) + half
-        out[t + 1] = out.get(t + 1, Fraction(0)) + half
-    return out
-
-
-@lru_cache(maxsize=None)
-def _antider_coeffs(m: int, n: int) -> tuple[tuple[int, Fraction], ...]:
-    """Coefficients c_t with int J_m(x)/x^n dx = sum c_t J_t(x)/x^4,
-    for m - n odd and positive.  Base: int J_m/x^(m-1) = -J_{m-1}/x^(m-1);
-    step: int J_{m}/x^n = 2(m-1) int J_{m-1}/x^(n+1) - int J_{m-2}/x^n."""
-    if (m - n) % 2 == 0 or m <= n:
-        raise ValueError("need m > n with m - n odd")
-    if m == n + 1:
-        coeffs = {m - 1: Fraction(-1)}
-        for _ in range(n - 4):
-            coeffs = _lower_power(coeffs)
-        return tuple(sorted(coeffs.items()))
-    a = dict(_antider_coeffs(m - 1, n + 1))
-    b = dict(_antider_coeffs(m - 2, n))
-    out: dict[int, Fraction] = {}
-    for t in set(a) | set(b):
-        out[t] = 2 * (m - 1) * a.get(t, Fraction(0)) - b.get(t, Fraction(0))
-    return tuple(sorted(out.items()))
-
-
-def bessel_antiderivative(K: int) -> BesselAntiderivative:
-    """The antiderivative of J_K(x)/x^4 as a finite combination
-    sum_{t>=4} c_t J_t(x)/x^4, for odd K >= 5.
-
-    The exact coefficients satisfy sum_t c_t / t = -1/4, the value of the
-    full-line integral of the combination divided by x."""
-    if K < 5:
-        raise ValueError("K must be at least 5")
-    if (4 + K) % 2 == 0:
-        raise ValueError("K must be odd")
-    coeffs = _antider_coeffs(K, 4)
-    return BesselAntiderivative(K=K,
-                                coefficients={t: float(c) for t, c in coeffs})

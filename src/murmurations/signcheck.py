@@ -16,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .arith import shared_sieve
-from .constants import q_table, qsqrt_sum_upper_bound, zeta_3_2_partial
+from .constants import ZETA_3_2, q_table, qsqrt_sum_upper_bound
 from .multfns import Q
 
 # The 25-element truncation set whose period is 3*5*7*11*13 = 15015.
@@ -35,26 +35,25 @@ DEFAULT_OFFSETS = (0.0, 0.5, 0.162)
 # uses whichever is larger.
 REFERENCE_QSQRT_BOUND = 3.0907 + 0.00004
 
+# The second-peak probe scans PROBE_POINTS equispaced T on PROBE_INTERVAL,
+# the half-period past the certified negative midpoint.
+PROBE_INTERVAL = (15014.5, 15015.0)
+PROBE_POINTS = 2001
 
-@cache
+
 def m_max_bounds() -> tuple[float, float]:
     """(lower, upper) bracket for M_max = (sqrt(2)/2) zeta(3/2), the peak
     of the single-term profile |f(0)|."""
-    S = 10 ** 6
-    partial, crude = zeta_3_2_partial(S)
-    # Euler-Maclaurin tail: 2/sqrt(S) - S^(-3/2)/2 + (1/8) S^(-5/2), with
-    # the next correction far below 1e-12.
-    tail = 2.0 / math.sqrt(S) - 0.5 * S ** -1.5 + 0.125 * S ** -2.5
-    z = partial + tail
     half_sqrt2 = math.sqrt(2.0) / 2.0
-    return half_sqrt2 * (z - 1e-9), half_sqrt2 * (z + 1e-9)
+    return half_sqrt2 * (ZETA_3_2 - 1e-9), half_sqrt2 * (ZETA_3_2 + 1e-9)
 
 
 @dataclass(frozen=True)
 class SignCheckConfig:
-    """Truncation set D, inner-series cutoff S (each f value carries the
-    certified tail bound 2/sqrt(S)), and the offsets o of the scanned grids
-    k + o."""
+    """The settings of grid_verify: truncation set D, inner-series cutoff
+    S (each f value carries the certified tail bound 2/sqrt(S)), and the
+    offsets o of the scanned grids k + o.  The bound on the full
+    sum_d Q(d) sqrt(d) is always qsqrt_sum_upper_bound()."""
 
     D: tuple[int, ...] = DEFAULT_D
     S: int = 4_010_000          # 2/sqrt(S) < 0.001
@@ -104,7 +103,7 @@ class SignCheckCertificate:
 
 
 # ---------------------------------------------------------------------------
-# The inner profile f and the truncated sum M_D
+# The inner profile f and the truncation set's weights and budget
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=2)
@@ -133,23 +132,19 @@ def _weights_for(D: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(float(Q(d)) * math.sqrt(d) for d in D)
 
 
-def M_D(T: float, cfg: SignCheckConfig) -> tuple[float, float]:
-    """sum_{d in D} Q(d) sqrt(d) f(T/d) with accumulated inner tails."""
-    w = _weights_for(cfg.D)
-    total = 0.0
-    tail = 0.0
-    for d, wd in zip(cfg.D, w):
-        v, t = f_polylog(T / d, cfg.S)
-        total += wd * v
-        tail += wd * t
-    return total, tail
-
-
 def period(D: tuple[int, ...]) -> Fraction:
-    """Half the least common multiple of the truncation set."""
+    """Half the least common multiple of the truncation set: the period of
+    the truncated profile sum_{d in D} Q(d) sqrt(d) f(T/d)."""
     if not D:
         raise ValueError("truncation set must be nonempty")
     return Fraction(math.lcm(*D), 2)
+
+
+def _grid_points(D: tuple[int, ...]) -> int:
+    """Integer points k = 1..n that cover one period of the profile on
+    k + o: the period itself, or twice it when it is a half-integer."""
+    per = period(D)
+    return int(per) if per.denominator == 1 else int(2 * per)
 
 
 def error_budget(D: tuple[int, ...], full_sum_upper: float) -> float:
@@ -171,25 +166,23 @@ def _offset_fraction(o: float) -> Fraction:
     return Fraction(o).limit_denominator(10 ** 9)
 
 
-def grid_verify(cfg: SignCheckConfig,
-                qsqrt_upper: float | None = None) -> SignCheckCertificate:
+def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     """Scan one full period at each offset and certify signs.
 
     Budget = max(own recomputed budget, the reference reading's budget);
-    a gridpoint passes when |M_D| clears budget + inner tail + 1e-9 float
-    slack with the offset's claimed sign (taken from its first gridpoint);
-    a non-finite total fails its offset.  With the offset written o =
-    num/den, (k + o)/d mod 1/2 = r/(2 den d) with r = 2(k den + num) mod
-    (den d), so f is evaluated once per distinct lattice point.
+    a gridpoint passes when the truncated profile's |value| clears
+    budget + inner tail + 1e-9 float slack with the offset's claimed sign
+    (taken from its first gridpoint); a non-finite total fails its offset.
+    With the offset written o = num/den, (k + o)/d mod 1/2 = r/(2 den d)
+    with r = 2(k den + num) mod (den d), so f is evaluated once per
+    distinct lattice point.
     """
-    own = qsqrt_upper if qsqrt_upper is not None else qsqrt_sum_upper_bound()
-    budget = max(error_budget(cfg.D, own),
+    budget = max(error_budget(cfg.D, qsqrt_sum_upper_bound()),
                  error_budget(cfg.D, REFERENCE_QSQRT_BOUND))
-    per = period(cfg.D)
-    npts = int(per) if per.denominator == 1 else int(2 * per)
+    npts = _grid_points(cfg.D)
     weights = _weights_for(cfg.D)
     inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
-    cert = SignCheckCertificate(period=per, error_budget=budget,
+    cert = SignCheckCertificate(period=period(cfg.D), error_budget=budget,
                                 inner_tail=inner_tail, grid=npts)
     ks = np.arange(1, npts + 1, dtype=np.int64)
     for o in cfg.offsets:
@@ -259,15 +252,13 @@ def f_interpolated(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SecondPeakReport:
-    """Dense-scan maximum of the large-truncation profile on an interval,
+    """Dense-scan maximum of the large-truncation profile on PROBE_INTERVAL,
     with the certified truncation error of the discarded d > dmax tail."""
 
-    interval: tuple[float, float]
     dmax: int
     max_value: float
     argmax: float
     error_bound: float
-    scan_points: int
 
     @property
     def certified_negative(self) -> bool:
@@ -277,32 +268,28 @@ class SecondPeakReport:
         return self.max_value + self.error_bound < 0.0
 
 
-def second_peak_probe(interval: tuple[float, float] = (15014.5, 15015.0),
-                      dmax: int = 5000, scan_points: int = 2001,
-                      qsqrt_upper: float | None = None) -> SecondPeakReport:
-    """Scan M_{D'} with D' = all square-free d <= dmax densely on the given
-    interval — by default the half-period past the certified negative
-    midpoint, where any additional sign change would have to appear (the
-    profile's second local peak sits near the integer + 0.6).  The
-    discarded tail is bounded by
-    0.83 * (full bound - sum_{d <= dmax} Q(d) sqrt(d)), using the sup of
-    |f| away from its cusps."""
-    own = qsqrt_upper if qsqrt_upper is not None else qsqrt_sum_upper_bound()
+def second_peak_probe(dmax: int = 5000) -> SecondPeakReport:
+    """Scan the profile truncated to all square-free d <= dmax densely on
+    PROBE_INTERVAL, the half-period past the certified negative midpoint,
+    where any additional sign change would have to appear (the profile's
+    second local peak sits near the integer + 0.6).  The discarded tail is
+    bounded by 0.83 * (full bound - sum_{d <= dmax} Q(d) sqrt(d)), using
+    the sup of |f| away from its cusps."""
     q = q_table(dmax)
     d = np.arange(dmax + 1, dtype=np.float64)
     d[0] = 1.0
     w = q * np.sqrt(d)
     inside = float(w.sum())
-    err = 0.83 * (min(own, REFERENCE_QSQRT_BOUND) - inside)
-    ts = np.linspace(interval[0], interval[1], scan_points)
+    err = 0.83 * (min(qsqrt_sum_upper_bound(), REFERENCE_QSQRT_BOUND)
+                  - inside)
+    ts = np.linspace(*PROBE_INTERVAL, PROBE_POINTS)
     dd = np.nonzero(q)[0]
     vals = np.zeros_like(ts)
     for di in dd:
         vals += w[di] * f_interpolated(ts / di)
     i = int(np.argmax(vals))
-    return SecondPeakReport(interval=interval, dmax=dmax,
-                            max_value=float(vals[i]), argmax=float(ts[i]),
-                            error_bound=err, scan_points=scan_points)
+    return SecondPeakReport(dmax=dmax, max_value=float(vals[i]),
+                            argmax=float(ts[i]), error_bound=err)
 
 
 def third_sign_change_fraction(cfg: SignCheckConfig,
@@ -312,7 +299,7 @@ def third_sign_change_fraction(cfg: SignCheckConfig,
     [k + 1/2, k + 1] (an uncertified probe via the interpolated f)."""
     budget = max(error_budget(cfg.D, qsqrt_sum_upper_bound()),
                  error_budget(cfg.D, REFERENCE_QSQRT_BOUND))
-    npts = int(period(cfg.D))
+    npts = _grid_points(cfg.D)
     weights = _weights_for(cfg.D)
     ks = np.arange(1, npts + 1, dtype=np.float64)[:, None]
     us = np.linspace(0.5, 1.0, samples_per_half)[None, :]

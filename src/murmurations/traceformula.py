@@ -170,16 +170,14 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
 
 
 def interval_average(X: int, Y: int, P: int, k: int,
-                     table: HurwitzTable | None = None,
-                     cfg: DensityConfig | None = None) -> TraceReport:
+                     table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, X+Y] with P
     excluded, against the predicted density M_k(P/X)."""
     if Y >= X:
         raise ValueError("need Y < X")
-    cfg = cfg or DensityConfig(k=k)
     levels = _square_free_levels(X, X + Y, P)
     num, den = _average_over(levels, P, k, table)
-    predicted = murmuration_density(cfg, P / X)
+    predicted = murmuration_density(DensityConfig(k=k), P / X)
     average = num / den if den else math.nan
     return TraceReport(kind="interval", X=X, span=float(Y), P=P, k=k,
                        numerator=num, denominator=den, average=average,
@@ -188,16 +186,14 @@ def interval_average(X: int, Y: int, P: int, k: int,
 
 
 def dyadic_average(X: int, c: float, P: int, k: int,
-                   table: HurwitzTable | None = None,
-                   cfg: DensityConfig | None = None) -> TraceReport:
+                   table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, cX], against the
     dyadic integral of the density."""
     if c <= 1:
         raise ValueError("c must exceed 1")
-    cfg = cfg or DensityConfig(k=k)
     levels = _square_free_levels(X, int(c * X), P)
     num, den = _average_over(levels, P, k, table)
-    predicted = dyadic_density(k, c, P / X, cfg)
+    predicted = dyadic_density(c, P / X, DensityConfig(k=k))
     average = num / den if den else math.nan
     return TraceReport(kind="dyadic", X=X, span=c, P=P, k=k,
                        numerator=num, denominator=den, average=average,

@@ -149,7 +149,7 @@ def test_criterion_07_dyadic_closed_form():
     worst = 0.0
     for i in range(1, 101):
         y = i / 100.0
-        worst = max(worst, abs(dyadic_density(2, 2.0, y, cfg)
+        worst = max(worst, abs(dyadic_density(2.0, y, cfg)
                                - dyadic_closed_form_k2(y)))
     a, b, c = dyadic_closed_form_constants()
     # b = (2/3) gamma.  The source's 11.3536 is the product truncated at
@@ -172,7 +172,7 @@ def test_criterion_08_desk_scale_empirical_murmuration():
     for k in (2, 4):
         cfg = DensityConfig(k=k)
         for P in primes:
-            rep = interval_average(X, Y, P, k, cfg=cfg)
+            rep = interval_average(X, Y, P, k)
             tol = max(0.1, 0.15 * abs(rep.predicted))
             window = window_density(cfg, P, X, Y)
             good = abs(rep.residual) <= tol
@@ -211,7 +211,7 @@ def test_criterion_10_smoothed_limits():
     t0 = time.time()
     cfg = DensityConfig(k=6)
     y = 10 ** 4
-    sharp = smoothed_average(6, lambda u: 1.0, y, cfg, support=(1.0, 2.0))
+    sharp = smoothed_average(lambda u: 1.0, y, cfg, support=(1.0, 2.0))
 
     def bump(u):
         import numpy as np
@@ -221,7 +221,7 @@ def test_criterion_10_smoothed_limits():
         out[inside] = np.exp(-1.0 / ((u[inside] - 1.0) * (2.0 - u[inside])))
         return out
 
-    smooth = smoothed_average(6, bump, y, cfg, support=(1.0, 2.0))
+    smooth = smoothed_average(bump, y, cfg, support=(1.0, 2.0))
     elapsed = time.time() - t0
     ok = (abs(smooth - 0.5) <= 0.05 and abs(sharp - 0.5) <= 0.05
           and elapsed <= 120)

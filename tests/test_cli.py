@@ -1,11 +1,12 @@
 """CLI plumbing: exit codes, deterministic CSV, cache handling, SVG purity,
-and a start-up path that does not load scipy."""
+grid parsing, and a package that runs on numpy alone."""
 
 import ast
 import os
 import struct
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,25 @@ def test_non_finite_dyadic_c_exits_2(tmp_path):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.strip().splitlines() == ["--c must be finite, got inf"]
+
+
+def test_parse_grid_stops_at_stop():
+    assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
+    assert len(cli._parse_grid("0:1:0.1")) == 11
+    assert cli._parse_grid("0:0:0.5") == [0.0]
+
+
+def test_parse_grid_keeps_benchmark_grids():
+    # the shifted grids of the density benchmark: a span that is a
+    # multiple of the step keeps its round()-counted points
+    for choice in range(8):
+        for start, stop, step in ((0.0, 4.0, 0.25), (0.0, 4.0, 0.001),
+                                  (0.05, 1.0, 0.05)):
+            s = (choice + 1) / 9 * step
+            lo, hi = start + s, stop + s
+            n = int(round((hi - lo) / step))
+            assert cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}") == \
+                [lo + i * step for i in range(n + 1)]
 
 
 def test_density_grid_rows_and_determinism(tmp_path):
@@ -165,6 +185,18 @@ def test_cache_above_dmin_3_falls_back(tmp_path):
     assert "falling back" in cached.stderr
 
 
+def test_verify_multfns_other_value_error_exits_2(monkeypatch, capsys):
+    # only the two known domain exclusions are skipped; any other
+    # ValueError from a closed form is a failure, not a silent skip
+    def boom(r, d, g, P):
+        raise ValueError("unexpected")
+
+    monkeypatch.setattr(cli, "phi_circ", boom)
+    assert cli.main(["verify-multfns", "--rmax", "1", "--mmax", "3",
+                     "--dmax", "3", "--gmax", "10"]) == 2
+    assert "unexpected" in capsys.readouterr().err
+
+
 def test_signcheck_small_cutoff(tmp_path):
     res = run(["signcheck", "--S", "40000", "--skip-probe",
                "--report", str(tmp_path / "r.csv")], tmp_path)
@@ -188,8 +220,7 @@ def test_signcheck_with_probe(tmp_path):
 # -- start-up cost ----------------------------------------------------------
 
 def test_cli_import_does_not_load_scipy():
-    """scipy.special costs ~0.3 s of start-up; only the Bessel
-    antiderivative imports it, at its first call."""
+    """scipy.special costs ~0.3 s of start-up and no command needs it."""
     res = subprocess.run(
         [sys.executable, "-c",
          "import murmurations.cli, sys; print('scipy' in sys.modules)"],
@@ -241,15 +272,40 @@ def _scipy_imports(text: str) -> list[tuple[str, list[str]]]:
 
 
 def test_no_module_level_scipy_import():
-    """The one scipy import in the package is the deferred jv of the
-    Bessel antiderivative."""
+    """The package imports scipy nowhere, deferred or not."""
     src = Path(cli.__file__).parent
     found = [(path.name, scope, names)
              for path in sorted(src.glob("*.py"))
              for scope, names in _scipy_imports(path.read_text())]
-    assert found == [("density.py", "BesselAntiderivative.__call__",
-                      ["scipy.special.jv"])], found
+    assert found == [], found
     # the scan sees a planted top-level import, and only that one
     text = (src / "classnumbers.py").read_text()
     assert _scipy_imports("import scipy.special\n" + text) == \
         [("", ["scipy.special"])]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy"]
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    """With scipy unimportable, the Bessel density, the constants check and
+    a small sign check still exit 0."""
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from murmurations import cli\n"
+            "out = sys.argv[1]\n"
+            "print([cli.main(a + ['--out', out]) for a in (\n"
+            "    ['density', '--form', 'bessel', '--k', '2',\n"
+            "     '--y-grid', '0.25:1:0.25'],\n"
+            "    ['verify-constants'])],\n"
+            "    cli.main(['signcheck', '--S', '40000', '--skip-probe',\n"
+            "              '--report', out]))\n")
+    env = dict(os.environ, MURMUR_CACHE_DIR=str(tmp_path / "cache"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o.csv")],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[0, 0] 0\n"

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.arith import primes_upto
-from murmurations.constants import (_KINDS, ZETA2, euler_constant, q_table,
-                                    q_weighted_sums, qsqrt_product,
-                                    qsqrt_sum_upper_bound, zeta_3_2_partial)
+from murmurations.constants import (_KINDS, ZETA2, ZETA_3_2, euler_constant,
+                                    q_table, q_weighted_sums, qsqrt_product,
+                                    qsqrt_sum_upper_bound)
 from murmurations.multfns import Q
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
@@ -36,12 +36,18 @@ def test_zeta_against_mpmath():
     assert ZETA2 == pytest.approx(float(mp.zeta(2)), abs=1e-12)
 
 
-def test_zeta_3_2_partial_tail():
+def test_zeta_3_2_against_mpmath():
     mp.mp.dps = 25
-    for S in (100, 10000):
-        partial, tail = zeta_3_2_partial(S)
-        assert tail == 2.0 / math.sqrt(S)
-        assert abs(partial - float(mp.zeta(1.5))) < tail
+    assert abs(ZETA_3_2 - float(mp.zeta(1.5))) <= 1e-12
+
+
+def test_zeta_3_2_literal_matches_partial_sum_formula():
+    """The literal is bit for bit the value the sign check computed before:
+    the fsum of n^(-3/2) to S = 10^6 plus its Euler-Maclaurin tail."""
+    S = 10 ** 6
+    partial = math.fsum(k ** -1.5 for k in range(S, 0, -1))
+    tail = 2.0 / math.sqrt(S) - 0.5 * S ** -1.5 + 0.125 * S ** -2.5
+    assert ZETA_3_2 == partial + tail
 
 
 @pytest.mark.parametrize("kind", KINDS)

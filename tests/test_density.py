@@ -1,8 +1,7 @@
 """Density evaluation: special functions against scipy, the two analytic
-forms against each other, closed forms, and the antiderivative algebra."""
+forms against each other, and closed forms."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +11,7 @@ from hypothesis import strategies as st
 
 from murmurations.constants import euler_constant
 from murmurations.density import (DensityConfig, adaptive_quadrature,
-                                  bessel_antiderivative, bessel_inner_sum,
-                                  chebyshev_U,
+                                  bessel_inner_sum, chebyshev_U,
                                   dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
                                   murmuration_density,
@@ -86,12 +84,6 @@ def test_chebyshev_equals_bessel(k, y):
     assert abs(cheb - bess) <= tail + 1e-7
 
 
-def test_bessel_form_rejects_unreachable_tolerance():
-    cfg = DensityConfig(k=2)
-    with pytest.raises(ValueError):
-        murmuration_density_bessel(cfg, 1.0, tol=1e-12)
-
-
 def test_small_y_closed_form_and_positivity():
     # below y = 1/4 no oscillatory term contributes
     beta = euler_constant("beta").value
@@ -148,7 +140,7 @@ def test_asymptotic_tracks_density():
 def test_dyadic_quadrature_equals_closed_form():
     cfg = DensityConfig(k=2)
     for y in np.arange(0.02, 1.0, 0.07):
-        quad = dyadic_density(2, 2.0, float(y), cfg)
+        quad = dyadic_density(2.0, float(y), cfg)
         closed = dyadic_closed_form_k2(float(y))
         assert abs(quad - closed) <= 1e-6
 
@@ -166,8 +158,8 @@ def test_dyadic_constants_assembled_from_euler_products():
 def test_smoothed_sharp_window_is_dyadic():
     cfg = DensityConfig(k=6)
     for y in (0.3, 1.7):
-        smooth = smoothed_average(6, lambda u: 1.0, y, cfg, support=(1.0, 2.0))
-        assert smooth == pytest.approx(dyadic_density(6, 2.0, y, cfg),
+        smooth = smoothed_average(lambda u: 1.0, y, cfg, support=(1.0, 2.0))
+        assert smooth == pytest.approx(dyadic_density(2.0, y, cfg),
                                        rel=1e-8)
 
 
@@ -175,32 +167,6 @@ def test_smoothed_limit_is_half():
     # with a smooth bump, the smoothed density tends to 1/2 as y grows
     cfg = DensityConfig(k=6)
     bump = lambda u: math.exp(-1.0 / ((u - 1.0) * (2.0 - u)))
-    val = smoothed_average(6, bump, 10 ** 4, cfg, support=(1.0, 2.0))
+    val = smoothed_average(bump, 10 ** 4, cfg, support=(1.0, 2.0))
     assert val == pytest.approx(0.5, abs=0.05)
 
-
-# -- Bessel antiderivative --------------------------------------------------
-
-def test_antiderivative_coefficient_identity():
-    # sum c_t / t = -1/4, the exact value of the integral from 0
-    from murmurations.density import _antider_coeffs
-    for K in (5, 7, 9, 13):
-        total = sum(c / t for t, c in _antider_coeffs(K, 4))
-        assert total == Fraction(-1, 4)
-
-
-def test_antiderivative_differentiates_to_kernel():
-    h = 1e-6
-    for K in (5, 9):
-        anti = bessel_antiderivative(K)
-        for x in (3.7, 11.2):
-            deriv = (anti(x + h) - anti(x - h)) / (2 * h)
-            assert deriv == pytest.approx(float(sp.jv(K, x)) / x ** 4,
-                                          rel=1e-5, abs=1e-9)
-
-
-def test_antiderivative_requires_odd_K():
-    with pytest.raises(ValueError):
-        bessel_antiderivative(4)
-    with pytest.raises(ValueError):
-        bessel_antiderivative(3)

@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations import signcheck
-from murmurations.signcheck import (DEFAULT_D, M_D, SignCheckConfig,
-                                    _f_grid, _s_weights, error_budget,
-                                    f_interpolated, f_polylog, grid_verify,
-                                    m_max_bounds, period, second_peak_probe)
+from murmurations.signcheck import (DEFAULT_D, PROBE_INTERVAL,
+                                    SignCheckConfig, _f_grid, _s_weights,
+                                    error_budget, f_interpolated, f_polylog,
+                                    grid_verify, m_max_bounds, period,
+                                    second_peak_probe,
+                                    third_sign_change_fraction)
 
 
 def _f_oracle(x, S):
@@ -79,13 +81,10 @@ def test_config_validation():
         SignCheckConfig(S=0)
 
 
-def test_M_D_accumulates_tails():
-    cfg = SignCheckConfig(S=10000)
-    val, tail = M_D(1.0, cfg)
-    direct = sum(float(_q(d)) * math.sqrt(d) * f_polylog(1.0 / d, cfg.S)[0]
-                 for d in cfg.D)
-    assert val == pytest.approx(direct, abs=1e-12)
-    assert tail == pytest.approx(
+def test_inner_tail_accumulates():
+    # each d's f carries the tail 2/sqrt(S), weighted by Q(d) sqrt(d)
+    cfg = SignCheckConfig(D=(1, 2, 3, 5, 6), S=10000, offsets=(0.0,))
+    assert grid_verify(cfg).inner_tail == pytest.approx(
         sum(float(_q(d)) * math.sqrt(d) for d in cfg.D) * 2
         / math.sqrt(cfg.S), rel=1e-12)
 
@@ -95,12 +94,33 @@ def _q(d):
     return Q(d)
 
 
-def test_M_D_is_periodic():
-    cfg = SignCheckConfig(D=(2, 3), S=20000)
-    per = float(period(cfg.D))
-    a, _ = M_D(1.3, cfg)
-    b, _ = M_D(1.3 + per, cfg)
-    assert a == pytest.approx(b, abs=1e-9)
+def test_truncated_profile_is_periodic():
+    # grid_verify's premise: sum_{d in D} Q(d) sqrt(d) f(T/d) repeats
+    # after period(D), so one period of gridpoints covers every T
+    def profile(T, D, S):
+        return sum(float(_q(d)) * math.sqrt(d) * f_polylog(T / d, S)[0]
+                   for d in D)
+
+    for D in ((2, 3), (1, 3, 5)):
+        per = float(period(D))
+        assert profile(1.3, D, 20000) == pytest.approx(
+            profile(1.3 + per, D, 20000), abs=1e-9)
+
+
+@pytest.mark.parametrize("D", [(1, 3, 5), DEFAULT_D])
+def test_third_sign_change_scans_grid_verify_points(D, monkeypatch):
+    # an odd lcm(D) makes the period a half-integer; both scans must then
+    # cover the lcm(D) integer points of one full period of the grid
+    cfg = SignCheckConfig(D=D, S=1000, offsets=(0.0,))
+    rows = []
+
+    def fake(x):
+        rows.append(np.shape(x)[0])
+        return np.zeros(np.shape(x))
+
+    monkeypatch.setattr(signcheck, "f_interpolated", fake)
+    third_sign_change_fraction(cfg)
+    assert set(rows) == {grid_verify(cfg).grid}
 
 
 def test_grid_verify_small_set_fails():
@@ -128,11 +148,9 @@ def test_interpolated_f_close_to_direct():
 
 
 def test_second_peak_probe_fields():
-    rep = second_peak_probe(interval=(15014.5, 15015.0), dmax=300,
-                            scan_points=201)
-    assert rep.interval == (15014.5, 15015.0)
+    rep = second_peak_probe(dmax=300)
+    assert PROBE_INTERVAL[0] <= rep.argmax <= PROBE_INTERVAL[1]
     assert rep.error_bound > 0
-    assert rep.scan_points == 201
     assert rep.certified_negative == (rep.max_value + rep.error_bound < 0)
 
 
@@ -141,7 +159,7 @@ def test_second_peak_probe_against_polylog_oracle():
     # sum over square-free d <= dmax of Q(d) sqrt(d) f(T/d), with exact Q and
     # f(x) = Re(e^{-3 pi i/4} Li_{3/2}(e^{4 pi i x})); the tolerance is the
     # one test_interpolated_f_close_to_direct gives f_interpolated
-    rep = second_peak_probe(dmax=300, scan_points=201)
+    rep = second_peak_probe(dmax=300)
     with mp.workdps(20):
         phase = mp.expjpi(mp.mpf(-3) / 4)
         total = mp.mpf(0)
