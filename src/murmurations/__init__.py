@@ -5,8 +5,8 @@ and a certified finite verification of the density's sign changes.
 Subpackage layout:
 
     arith         the shared smallest-prime-factor sieve, primes, Kronecker
-                  symbol, and the elementary summatory functions (mu, phi,
-                  eta, mu^2-counts)
+                  symbol, and the elementary summatory functions (phi, eta,
+                  mu^2-counts)
     classnumbers  exact Gauss/Hurwitz class numbers (form counting, and H_1
                   from one certified character sum by the conductor sum),
                   batch tables, disk cache

@@ -170,15 +170,6 @@ class FactorSieve:
             out.sort()
         return out
 
-    def mu(self, n: int) -> int:
-        """Moebius function."""
-        result = 1
-        for _, e in self.factor(n):
-            if e > 1:
-                return 0
-            result = -result
-        return result
-
     def euler_phi(self, n: int) -> int:
         """Euler totient."""
         result = n
@@ -285,22 +276,6 @@ def sum_mu2_phi(Z: int) -> int:
             while m % p == 0:
                 m //= p
         total += phi
-    return total
-
-
-def count_squarefree_twisted(Z: int, m: int) -> int:
-    """Count of square-free N <= Z coprime to m (principal character twist).
-
-    Main term Z * eta(m) / zeta(2).
-    """
-    flags = squarefree_flags(Z)
-    if m == 1:
-        return sum(flags)
-    ps = [p for p, _ in shared_sieve().factor(m)]
-    total = 0
-    for n in range(1, Z + 1):
-        if flags[n] and all(n % p for p in ps):
-            total += 1
     return total
 
 

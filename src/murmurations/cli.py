@@ -26,7 +26,7 @@ from .density import (DensityConfig, dyadic_closed_form_constants,
 from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, \
     smooth_square_gs, theta, theta_bruteforce
 from .signcheck import SignCheckConfig, grid_verify, second_peak_probe
-from .traceformula import dyadic_average, interval_average
+from .traceformula import TraceReport, dyadic_average, interval_average
 
 
 def cache_dir() -> Path:
@@ -104,43 +104,31 @@ def _cmd_sieve_classnumbers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_table_if_covering(path: str | None, need: int):
-    if not path:
-        return None
-    table = load_table(path)
-    # a trace read H_1(-N(4P - r^2 N)) can be as small as 3 (N = 1, P = 3,
-    # r = 3), so only [3, need] covers every input
-    if table.dmin <= 3 and table.dmax >= need:
-        return table
-    print(f"note: cache {path} covers [{table.dmin}, {table.dmax}], not "
-          f"[3, {need}]; falling back to per-value computation",
-          file=sys.stderr)
-    return None
+_AVERAGE_HEADER = ["N_low", "N_high", "P", "k", "numerator", "denominator",
+                   "average", "predicted", "residual"]
+
+
+def _write_average(args: argparse.Namespace, N_high: int,
+                   report: TraceReport) -> None:
+    _write_csv(args.out, _AVERAGE_HEADER,
+               [[args.X, N_high, args.P, args.k, report.numerator,
+                 report.denominator, report.average, report.predicted,
+                 report.residual]])
 
 
 def _cmd_trace_average(args: argparse.Namespace) -> int:
-    table = _load_table_if_covering(args.hurwitz_cache,
-                                    4 * args.P * (args.X + args.Y))
-    rep = interval_average(args.X, args.Y, args.P, args.k, table=table)
-    _write_csv(args.out,
-               ["N_low", "N_high", "P", "k", "numerator", "denominator",
-                "average", "predicted", "residual"],
-               [[args.X, args.X + args.Y, args.P, args.k, rep.numerator,
-                 rep.denominator, rep.average, rep.predicted, rep.residual]])
+    table = load_table(args.hurwitz_cache) if args.hurwitz_cache else None
+    _write_average(args, args.X + args.Y,
+                   interval_average(args.X, args.Y, args.P, args.k, table))
     return 0
 
 
 def _cmd_dyadic_average(args: argparse.Namespace) -> int:
     if not math.isfinite(args.c):
         raise SystemExit(f"--c must be finite, got {args.c}")
-    table = _load_table_if_covering(args.hurwitz_cache,
-                                    int(4 * args.P * args.c * args.X) + 4)
-    rep = dyadic_average(args.X, args.c, args.P, args.k, table=table)
-    _write_csv(args.out,
-               ["N_low", "N_high", "P", "k", "numerator", "denominator",
-                "average", "predicted", "residual"],
-               [[args.X, int(args.c * args.X), args.P, args.k, rep.numerator,
-                 rep.denominator, rep.average, rep.predicted, rep.residual]])
+    table = load_table(args.hurwitz_cache) if args.hurwitz_cache else None
+    _write_average(args, int(args.c * args.X),
+                   dyadic_average(args.X, args.c, args.P, args.k, table))
     return 0
 
 
@@ -254,6 +242,10 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+_TABLE_HELP = ("class-number table written by sieve-classnumbers; it serves "
+               "each d it covers, other d are computed")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="murmur",
@@ -279,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--Y", type=int, required=True)
     s.add_argument("--P", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--hurwitz-cache")
+    s.add_argument("--hurwitz-cache", help=_TABLE_HELP)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_trace_average)
 
@@ -289,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--c", type=float, required=True)
     s.add_argument("--P", type=int, required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--hurwitz-cache")
+    s.add_argument("--hurwitz-cache", help=_TABLE_HELP)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_dyadic_average)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -134,6 +134,7 @@ def qsqrt_product(pmax: int) -> float:
     return float(math.exp(np.log1p(qp * np.sqrt(ps)).sum()))
 
 
+@cache
 def qsqrt_sum_upper_bound(pmax: int = 10 ** 7) -> float:
     """Certified upper bound on sum_{d >= 1} Q(d) sqrt(d).
 
@@ -141,6 +142,7 @@ def qsqrt_sum_upper_bound(pmax: int = 10 ** 7) -> float:
     log(1 + Q(p) sqrt(p)) <= Q(p) sqrt(p) <= 1.01 p^(-3/2), and with the
     Rosser-Schoenfeld bound pi(x) < 1.25506 x/log x, partial summation
     gives sum_{p > T} p^(-3/2) <= (3 * 1.25506 / log T) T^(-1/2).
+    Cached: the default product over the primes below 1e7 costs ~0.1 s.
     """
     if pmax < 100:
         raise ValueError("pmax too small for the certified tail")

@@ -34,7 +34,7 @@ ASYMPTOTIC_DMAX = 2000
 ASYMPTOTIC_SMAX = 4000
 
 # Absolute tolerance of every quadrature behind the density, and the
-# bisection depth at which adaptive_quadrature accepts a panel regardless.
+# bisection depth at which adaptive_quadrature gives up on a panel.
 QUAD_TOL = 1e-9
 MAX_DEPTH = 52
 
@@ -131,7 +131,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
     The interval is pre-split at every interior breakpoint (integrand kinks
     and singular points must be listed there); each piece is then bisected
     adaptively with the Gauss-Kronrod 7-15 error estimate, down to
-    MAX_DEPTH bisections.  Returns (value, accumulated error estimate).
+    MAX_DEPTH bisections.  Returns (value, accumulated error estimate);
+    a panel still above its tolerance at MAX_DEPTH raises ValueError.
     """
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     total = 0.0
@@ -142,9 +143,12 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
         while stack:
             x0, x1, depth = stack.pop()
             val, err = _gk15(f, x0, x1)
-            if err <= tol * max((x1 - x0) / width, 1e-6) or depth >= MAX_DEPTH:
+            if err <= tol * max((x1 - x0) / width, 1e-6):
                 total += val
                 err_total += err
+            elif depth >= MAX_DEPTH:
+                raise ValueError(f"quadrature panel [{x0!r}, {x1!r}] misses "
+                                 f"its tolerance after {MAX_DEPTH} bisections")
             else:
                 xm = 0.5 * (x0 + x1)
                 stack.append((x0, xm, depth + 1))

@@ -158,6 +158,13 @@ def error_budget(D: tuple[int, ...], full_sum_upper: float) -> float:
     return diff * m_max_bounds()[1]
 
 
+def _certified_budget(D: tuple[int, ...]) -> float:
+    """The larger of the error budgets from the recomputed bound and from
+    the reference reading REFERENCE_QSQRT_BOUND."""
+    return max(error_budget(D, qsqrt_sum_upper_bound()),
+               error_budget(D, REFERENCE_QSQRT_BOUND))
+
+
 # ---------------------------------------------------------------------------
 # Grid certification
 # ---------------------------------------------------------------------------
@@ -177,8 +184,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     with r = 2(k den + num) mod (den d), so f is evaluated once per
     distinct lattice point.
     """
-    budget = max(error_budget(cfg.D, qsqrt_sum_upper_bound()),
-                 error_budget(cfg.D, REFERENCE_QSQRT_BOUND))
+    budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
     weights = _weights_for(cfg.D)
     inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
@@ -297,8 +303,7 @@ def third_sign_change_fraction(cfg: SignCheckConfig,
     """Observed fraction of integer gridpoints k in one period for which
     the truncated profile exceeds the error budget somewhere on
     [k + 1/2, k + 1] (an uncertified probe via the interpolated f)."""
-    budget = max(error_budget(cfg.D, qsqrt_sum_upper_bound()),
-                 error_budget(cfg.D, REFERENCE_QSQRT_BOUND))
+    budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
     weights = _weights_for(cfg.D)
     ks = np.arange(1, npts + 1, dtype=np.float64)[:, None]

@@ -12,10 +12,12 @@ with the 1/2, 1/3 automorphism weights at discriminants -4, -3.  The
 paper sums h(-Nm/f^2) over f^2 | m, m = 4P - r^2 N; that sum is the whole
 H_1(-Nm), because a square f^2 | Nm that does not divide m needs a prime
 p | N with p | m, so p | 4P and p = 2; then N is even, r is odd and
--Nm/f^2 = 3 mod 4 is no discriminant.  Each H_1(-Nm) is one table read or
-one certified evaluation (classnumbers.hurwitz_H1_certified).
+-Nm/f^2 = 3 mod 4 is no discriminant.  Each H_1(-Nm) is a read from a
+class-number table when the table covers Nm, and otherwise one certified
+evaluation (classnumbers.hurwitz_H1_certified).
 For k = 2 every factor is rational and the value is an exact integer, which
-the test-suite uses as the strongest internal consistency check.
+the test-suite uses as the strongest internal consistency check; one sum
+serves every k, exact at k = 2 and float above.
 Averages divide by the dimension main term (k-1) phi(N)/12 summed over
 the same levels, which normalizes the interval average directly onto the
 limiting density M_k(P/X).
@@ -80,11 +82,12 @@ class TraceReport:
 # ---------------------------------------------------------------------------
 
 def _hurwitz(N: int, m: int, table: HurwitzTable | None) -> Fraction:
-    """H_1(-N m) for a trace term m = 4P - r^2 N: one table read, or one
-    certified evaluation."""
-    if table is not None:
-        return table[N * m]
-    return hurwitz_H1_certified(N * m)
+    """H_1(-N m) for a trace term m = 4P - r^2 N: a table read when the
+    table covers N m, else one certified evaluation."""
+    d = N * m
+    if table is not None and table.dmin <= d <= table.dmax:
+        return table[d]
+    return hurwitz_H1_certified(d)
 
 
 def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None
@@ -103,21 +106,18 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None
         exact -= P
     sign = -1 if k % 4 == 0 else 1
     rmax = math.isqrt(4 * P // N) if N <= 4 * P else 0
-    osc_exact = Fraction(0)
-    osc_float = 0.0
+    # Fraction + float is float(Fraction) + float, so k > 2 rounds the
+    # exact part once, and a float osc keeps the result a float even when
+    # no r-term contributes
+    osc = 0 if k == 2 else 0.0
     for r in range(1, rmax + 1):
         m = 4 * P - r * r * N
         if m <= 0:
             continue
-        inner = _hurwitz(N, m, table)
-        if k == 2:
-            osc_exact += inner
-        else:
-            u = chebyshev_U(k - 2, r * math.sqrt(N) / (2.0 * math.sqrt(P)))
-            osc_float += u * float(inner)
-    if k == 2:
-        return exact + sign * osc_exact
-    return float(exact) + sign * osc_float
+        u = 1 if k == 2 else chebyshev_U(
+            k - 2, r * math.sqrt(N) / (2.0 * math.sqrt(P)))
+        osc += u * _hurwitz(N, m, table)
+    return exact + sign * osc
 
 
 def dimension_main(N: int, k: int) -> Fraction:
@@ -133,19 +133,13 @@ def dimension_main(N: int, k: int) -> Fraction:
 
 def _average_over(levels: list[int], P: int, k: int,
                   table: HurwitzTable | None) -> tuple[float, float]:
-    """(numerator, denominator) accumulated in fixed ascending-N order."""
-    num_exact = Fraction(0)
-    num_float = 0.0
-    den = Fraction(0)
+    """(numerator, denominator) accumulated in fixed ascending-N order:
+    exact Fractions at k = 2, floats above, rounded to float at the end."""
+    num = den = 0
     for N in levels:
-        t = trace_TpWN(TraceParams(N=N, P=P, k=k), table)
-        if k == 2:
-            num_exact += t
-        else:
-            num_float += t
+        num += trace_TpWN(TraceParams(N=N, P=P, k=k), table)
         den += dimension_main(N, k)
-    num = float(num_exact) if k == 2 else num_float
-    return num, float(den)
+    return float(num), float(den)
 
 
 def _square_free_levels(lo: int, hi: int, P: int) -> list[int]:
@@ -169,20 +163,26 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
     return num / den
 
 
+def _report(kind: str, X: int, span: float, P: int, k: int,
+            levels: list[int], predicted: float,
+            table: HurwitzTable | None) -> TraceReport:
+    num, den = _average_over(levels, P, k, table)
+    average = num / den if den else math.nan
+    return TraceReport(kind=kind, X=X, span=span, P=P, k=k,
+                       numerator=num, denominator=den, average=average,
+                       predicted=predicted, residual=average - predicted,
+                       levels=len(levels))
+
+
 def interval_average(X: int, Y: int, P: int, k: int,
                      table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, X+Y] with P
     excluded, against the predicted density M_k(P/X)."""
     if Y >= X:
         raise ValueError("need Y < X")
-    levels = _square_free_levels(X, X + Y, P)
-    num, den = _average_over(levels, P, k, table)
-    predicted = murmuration_density(DensityConfig(k=k), P / X)
-    average = num / den if den else math.nan
-    return TraceReport(kind="interval", X=X, span=float(Y), P=P, k=k,
-                       numerator=num, denominator=den, average=average,
-                       predicted=predicted, residual=average - predicted,
-                       levels=len(levels))
+    return _report("interval", X, float(Y), P, k,
+                   _square_free_levels(X, X + Y, P),
+                   murmuration_density(DensityConfig(k=k), P / X), table)
 
 
 def dyadic_average(X: int, c: float, P: int, k: int,
@@ -191,11 +191,6 @@ def dyadic_average(X: int, c: float, P: int, k: int,
     dyadic integral of the density."""
     if c <= 1:
         raise ValueError("c must exceed 1")
-    levels = _square_free_levels(X, int(c * X), P)
-    num, den = _average_over(levels, P, k, table)
-    predicted = dyadic_density(c, P / X, DensityConfig(k=k))
-    average = num / den if den else math.nan
-    return TraceReport(kind="dyadic", X=X, span=c, P=P, k=k,
-                       numerator=num, denominator=den, average=average,
-                       predicted=predicted, residual=average - predicted,
-                       levels=len(levels))
+    return _report("dyadic", X, c, P, k,
+                   _square_free_levels(X, int(c * X), P),
+                   dyadic_density(c, P / X, DensityConfig(k=k)), table)

@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations import arith
-from murmurations.arith import (build_sieve, count_squarefree_twisted,
-                                is_prime, kronecker, shared_sieve,
-                                squarefree_flags, squarefree_in_class_count,
-                                sum_mu2_phi)
+from murmurations.arith import (build_sieve, is_prime, kronecker,
+                                shared_sieve, squarefree_flags,
+                                squarefree_in_class_count, sum_mu2_phi)
 
 SIEVE = build_sieve(100000)
 
@@ -94,14 +93,13 @@ def test_factor_reconstructs(n):
 
 
 @given(st.integers(1, 99999))
-def test_mu_phi_match_sympy(n):
-    assert SIEVE.mu(n) == sympy.mobius(n)
+def test_phi_matches_sympy(n):
     assert SIEVE.euler_phi(n) == sympy.totient(n)
 
 
 @given(st.integers(1, 99999))
 def test_squarefree_flag_consistent(n):
-    assert SIEVE.is_squarefree(n) == (SIEVE.mu(n) != 0)
+    assert SIEVE.is_squarefree(n) == (sympy.mobius(n) != 0)
 
 
 def test_squarefree_flags_bulk():
@@ -117,13 +115,6 @@ def test_sum_mu2_phi_bruteforce():
         brute = sum(SIEVE.euler_phi(n) for n in range(1, Z + 1)
                     if SIEVE.is_squarefree(n))
         assert sum_mu2_phi(Z) == brute
-
-
-def test_count_squarefree_twisted_bruteforce():
-    for Z, m in ((100, 1), (500, 6), (1234, 35), (2000, 30)):
-        brute = sum(1 for n in range(1, Z + 1)
-                    if SIEVE.is_squarefree(n) and math.gcd(n, m) == 1)
-        assert count_squarefree_twisted(Z, m) == brute
 
 
 @given(st.integers(2, 40), st.integers(100, 3000))

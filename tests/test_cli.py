@@ -174,6 +174,7 @@ def test_missing_cache_exits_2(tmp_path):
 
 
 def test_cache_above_dmin_3_falls_back(tmp_path):
+    # the table serves d >= 100; the smaller d are computed, silently
     cache = tmp_path / "h.murh1"
     assert run(["sieve-classnumbers", "--dmin", "100", "--dmax", "3000",
                 "--hurwitz-cache", str(cache)], tmp_path).returncode == 0
@@ -182,7 +183,7 @@ def test_cache_above_dmin_3_falls_back(tmp_path):
     cached = run(args + ["--hurwitz-cache", str(cache)], tmp_path)
     assert cached.returncode == 0
     assert cached.stdout == plain.stdout
-    assert "falling back" in cached.stderr
+    assert cached.stderr == ""
 
 
 def test_verify_multfns_other_value_error_exits_2(monkeypatch, capsys):

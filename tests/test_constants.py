@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations import constants
 from murmurations.arith import primes_upto
 from murmurations.constants import (_KINDS, ZETA2, ZETA_3_2, euler_constant,
                                     q_table, q_weighted_sums, qsqrt_product,
@@ -121,6 +122,17 @@ def test_qsqrt_upper_bound_dominates_partials():
     # and the bound tightens with more primes
     assert qsqrt_sum_upper_bound(10 ** 6) <= bound
     assert qsqrt_product(10 ** 6) == pytest.approx(3.0907, abs=1e-3)
+
+
+def test_qsqrt_upper_bound_computed_once(monkeypatch):
+    calls = []
+    real = constants.qsqrt_product
+    monkeypatch.setattr(constants, "qsqrt_product",
+                        lambda pmax: calls.append(pmax) or real(pmax))
+    qsqrt_sum_upper_bound.cache_clear()
+    first = qsqrt_sum_upper_bound()
+    assert qsqrt_sum_upper_bound() == first
+    assert calls == [10 ** 7]
 
 
 def test_bad_inputs():

@@ -46,6 +46,16 @@ def test_adaptive_quadrature_known_integrals():
     assert val == pytest.approx(exact, abs=1e-8)
 
 
+def test_adaptive_quadrature_raises_on_undeclared_jump():
+    # a jump of 1000 at 1/3: the panel holding it never meets its
+    # tolerance, so the quadrature must fail rather than accept it
+    step = lambda x: np.where(x > 1 / 3, 1000.0, 0.0)
+    with pytest.raises(ValueError, match="bisections"):
+        adaptive_quadrature(step, 0.0, 1.0, 1e-9)
+    val, _ = adaptive_quadrature(step, 0.0, 1.0, 1e-9, breakpoints=(1 / 3,))
+    assert val == pytest.approx(2000 / 3, abs=1e-9)
+
+
 # -- the summed Bessel kernel ----------------------------------------------
 
 def _inner_sum_oracle(order, c, n=60000):

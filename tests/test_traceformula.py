@@ -13,9 +13,10 @@ from murmurations.arith import build_sieve, is_prime
 from murmurations.classnumbers import (HurwitzTable, fundamental_decomposition,
                                        hurwitz_H1, hurwitz_sieve)
 from murmurations.density import DensityConfig, murmuration_density
-from murmurations.traceformula import (TraceParams, _hurwitz, dimension_main,
-                                       dyadic_average, interval_average,
-                                       trace_TpWN)
+from murmurations.density import chebyshev_U
+from murmurations.traceformula import (TraceParams, _average_over, _hurwitz,
+                                       dimension_main, dyadic_average,
+                                       interval_average, trace_TpWN)
 
 SIEVE = build_sieve(20000)
 
@@ -90,10 +91,30 @@ def test_corrupted_table_is_caught():
         assert trace_TpWN(_params(N, P, 2), table=bad) != direct
 
 
-def test_table_out_of_range_raises():
-    table = hurwitz_sieve(3, 50)
-    with pytest.raises(LookupError):
-        trace_TpWN(_params(1, 101, 2), table=table)
+@pytest.mark.parametrize("dmin,dmax", [(3, 50), (100, 3000)])
+def test_partial_table_matches_direct(dmin, dmax):
+    # a table serves each d it covers; every other d is computed
+    table = hurwitz_sieve(dmin, dmax)
+    for N in (1, 2, 3, 5, 6, 7, 11, 13, 15, 21, 26, 29, 30, 101, 390):
+        for P in (5, 7, 97, 101):
+            if N % P == 0:
+                continue
+            for k in (2, 4, 6):
+                assert trace_TpWN(_params(N, P, k), table=table) == \
+                    trace_TpWN(_params(N, P, k)), (N, P, k, dmin, dmax)
+
+
+def test_corrupted_partial_table_read_only_in_range():
+    # +42 on 6 H_1 adds 7 to every H_1 read from the bad table
+    table = hurwitz_sieve(100, 3000)
+    bad = HurwitzTable(table.dmin, table.dmax, table.six + 42)
+    # N = 1, P = 5 reads d = 20 - r^2, all below the table
+    assert trace_TpWN(_params(1, 5, 2), table=bad) == \
+        trace_TpWN(_params(1, 5, 2))
+    # N = 13, P = 97 reads d = 13 (388 - 13 r^2) = 5044, 4875, 4368, 3523
+    # above the table, then r-terms 2340 and 819 inside it
+    assert trace_TpWN(_params(13, 97, 2), table=bad) - \
+        trace_TpWN(_params(13, 97, 2)) == 14
 
 
 def test_one_certified_class_number_per_fundamental_discriminant(
@@ -111,6 +132,61 @@ def test_one_certified_class_number_per_fundamental_discriminant(
     d0s = {fundamental_decomposition(d)[0] for d in ds if d % 4 in (0, 3)}
     assert (P * N) % 4 == 3 and -P * N in d0s
     assert sorted(calls) == sorted(-d0 for d0 in d0s)
+
+
+def _two_accumulator_trace(N, P, k, table):
+    """trace_TpWN with separate exact (k = 2) and float (k > 2) sums."""
+    exact = _hurwitz(N, 4 * P, table) / 2
+    if k == 2:
+        exact -= P
+    sign = -1 if k % 4 == 0 else 1
+    rmax = math.isqrt(4 * P // N) if N <= 4 * P else 0
+    osc_exact, osc_float = Fraction(0), 0.0
+    for r in range(1, rmax + 1):
+        m = 4 * P - r * r * N
+        if m <= 0:
+            continue
+        inner = _hurwitz(N, m, table)
+        if k == 2:
+            osc_exact += inner
+        else:
+            u = chebyshev_U(k - 2, r * math.sqrt(N) / (2.0 * math.sqrt(P)))
+            osc_float += u * float(inner)
+    if k == 2:
+        return exact + sign * osc_exact
+    return float(exact) + sign * osc_float
+
+
+def _two_accumulator_average(levels, P, k, table):
+    num_exact, num_float, den = Fraction(0), 0.0, Fraction(0)
+    for N in levels:
+        t = _two_accumulator_trace(N, P, k, table)
+        if k == 2:
+            num_exact += t
+        else:
+            num_float += t
+        den += dimension_main(N, k)
+    return (float(num_exact) if k == 2 else num_float), float(den)
+
+
+@pytest.mark.parametrize("table", [None, hurwitz_sieve(3, 4 * 101 * 600)])
+def test_one_accumulator_is_bit_identical(table):
+    # N = 500 > 4P = 404 has no r-term at P = 101
+    levels = [N for N in range(1, 600) if SIEVE.is_squarefree(N)]
+    for P in (5, 101):
+        for k in (2, 4, 6):
+            for N in levels:
+                if N % P == 0:
+                    continue
+                got = trace_TpWN(_params(N, P, k), table)
+                want = _two_accumulator_trace(N, P, k, table)
+                assert (repr(got), type(got)) == \
+                    (repr(want), type(want)), (N, P, k)
+            admitted = [N for N in levels if N % P and N >= 300]
+            got = _average_over(admitted, P, k, table)
+            want = _two_accumulator_average(admitted, P, k, table)
+            assert repr(got) == repr(want), (P, k)
+            assert [type(x) for x in got] == [float, float], (P, k)
 
 
 def test_dimension_main():
