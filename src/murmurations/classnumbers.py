@@ -291,13 +291,17 @@ def gauss_h_certified(q: int) -> int:
 
 def _cutoff(q: int) -> int:
     """The n0 of gauss_h_certified: (q/u) e^{-u} <= 0.05 pi/sqrt(q) with
-    u = pi n0^2/q, so the truncated tail moves h by at most 0.05."""
+    u = pi n0^2/q, so the truncated tail moves h by at most 0.05.  The
+    iteration stops at its exact fixed point: every later step would
+    return the same u."""
     target = 0.05 * math.pi / math.sqrt(q)
     u = 2.0
     for _ in range(60):
-        u = math.log(q / (u * target))
+        prev, u = u, math.log(q / (u * target))
         if u < 2.0:
             u = 2.0
+            break
+        if u == prev:
             break
     return math.isqrt(int(q * u / math.pi)) + 2
 

@@ -165,6 +165,24 @@ def test_certified_matches_bruteforce_random_fundamental():
     assert not bad, bad
 
 
+def test_cutoff_matches_sixty_iterations():
+    """Stopping at the fixed point gives the n0 of all 60 iterations."""
+    def sixty(q):
+        target = 0.05 * math.pi / math.sqrt(q)
+        u = 2.0
+        for _ in range(60):
+            u = math.log(q / (u * target))
+            if u < 2.0:
+                u = 2.0
+                break
+        return math.isqrt(int(q * u / math.pi)) + 2
+
+    rng = random.Random(13)
+    qs = list(range(3, 20001)) + [rng.randrange(3, 10 ** 12)
+                                   for _ in range(20000)]
+    assert [q for q in qs if _cutoff(q) != sixty(q)] == []
+
+
 def test_erfc_against_math_and_mpmath():
     """erfc(x) = exp(-x^2) _erfcx(x), as gauss_h_certified computes it, on
     a dense grid over (0, x_max], x_max the largest argument it evaluates

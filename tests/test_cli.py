@@ -2,6 +2,7 @@
 grid parsing, and a package that runs on numpy alone."""
 
 import ast
+import hashlib
 import os
 import struct
 import subprocess
@@ -43,6 +44,15 @@ def test_non_finite_dyadic_c_exits_2(tmp_path):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert res.stderr.strip().splitlines() == ["--c must be finite, got inf"]
+
+
+def test_verify_constants_bytes_pinned(tmp_path):
+    """The stdout digest the benchmark's reference records for every
+    density-verify seed: a change that moves a last bit fails here."""
+    res = run(["verify-constants"], tmp_path)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
+        "a81f429f8a4b5ea23a72bb0843830f6239e5fd93a26ea50456cb93c2a3f6dd1f"
 
 
 def test_parse_grid_stops_at_stop():

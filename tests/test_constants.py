@@ -2,6 +2,7 @@
 partial-sum behavior of the Q-weighted series."""
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -19,10 +20,12 @@ from murmurations.multfns import Q
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
 
 
-@pytest.mark.parametrize("pmax", [10 ** 4, 10 ** 6])
+@pytest.mark.parametrize("pmax", [2, 3, 10, 1000, 10 ** 4, 54321, 123457,
+                                  999983, 10 ** 6, 3 * 10 ** 6])
 def test_euler_constant_matches_per_prime_generator(pmax):
-    """Summing over the Python ints a memoryview yields gives the same bits
-    as calling f(int(p)) on each numpy prime."""
+    """The float64 blocks give the same bits as the exact oracle: calling
+    f(int(p)) on each prime, a correctly rounded quotient of Python ints,
+    and summing the log1p terms in one fsum."""
     for kind in KINDS:
         scale, f, _ = _KINDS[kind]
         logs = math.fsum(math.log1p(f(int(p))) for p in primes_upto(pmax))
@@ -30,6 +33,22 @@ def test_euler_constant_matches_per_prime_generator(pmax):
         if kind == "Delta":
             value /= ZETA2
         assert euler_constant(kind, pmax).value == value, kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_euler_constant_memory_stays_at_sieve_peak(kind):
+    """At pmax = 1e6 the blocks peak at most 0.1 MB above the sieve alone;
+    a list of all the factors or their logs would add about 3 MB."""
+    tracemalloc.start()
+    primes_upto(10 ** 6)
+    sieve_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    euler_constant.cache_clear()
+    tracemalloc.start()
+    euler_constant(kind, 10 ** 6)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= sieve_peak + 100_000
 
 
 def test_zeta_against_mpmath():
@@ -77,6 +96,25 @@ def test_q_table_matches_exact():
     t = q_table(300)
     for d in range(1, 301):
         assert t[d] == pytest.approx(float(Q(d)), rel=1e-14)
+
+
+def _q_table_per_prime(T):
+    """q_table as one slice multiply per prime, in increasing order."""
+    q = np.ones(T + 1)
+    q[0] = 0.0
+    for p in primes_upto(T):
+        p = int(p)
+        q[p::p] *= p * p / (p ** 4 - 2 * p * p - p + 1)
+        p2 = p * p
+        if p2 <= T:
+            q[p2::p2] = 0.0
+    return q
+
+
+@pytest.mark.parametrize("T", [0, 1, 2, 3, 4, 10, 100, 500, 1000, 9973,
+                               10 ** 5, 10 ** 6])
+def test_q_table_matches_per_prime_loop(T):
+    assert q_table(T).tobytes() == _q_table_per_prime(T).tobytes()
 
 
 def test_qcount_routes_agree():
