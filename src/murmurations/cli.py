@@ -134,6 +134,8 @@ def _cmd_dyadic_average(args: argparse.Namespace) -> int:
 
 def _cmd_density(args: argparse.Namespace) -> int:
     ys = _parse_grid(args.y_grid)
+    if ys[0] < 0.0:
+        raise ValueError("y must be positive")
     cfg = DensityConfig(k=args.k, pmax=args.pmax)
     rows: list[list[object]] = []
     for y in ys:

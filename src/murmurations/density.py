@@ -18,6 +18,7 @@ and the k=2 dyadic closed form.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,8 @@ from .multfns import Q, nu
 # s <= ASYMPTOTIC_SMAX.
 ASYMPTOTIC_DMAX = 2000
 ASYMPTOTIC_SMAX = 4000
+# Rows of d per worker task in universal_asymptotic (128 x 4000 float64).
+_ASYMPTOTIC_BLOCK = 128
 
 # Absolute tolerance of every quadrature behind the density, and the
 # bisection depth at which adaptive_quadrature gives up on a panel.
@@ -113,16 +116,6 @@ _WG15 = np.zeros(15)
 _WG15[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # embedded Gauss
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: (Kronrod value, |K15 - G7| estimate)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = f(mid + half * _NODES)
-    k15 = half * float(np.dot(_WK, y))
-    g7 = half * float(np.dot(_WG15, y))
-    return k15, abs(k15 - g7)
-
-
 def adaptive_quadrature(f, a: float, b: float, tol: float,
                         breakpoints: tuple[float, ...] = ()
                         ) -> tuple[float, float]:
@@ -133,26 +126,53 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
     adaptively with the Gauss-Kronrod 7-15 error estimate, down to
     MAX_DEPTH bisections.  Returns (value, accumulated error estimate);
     a panel still above its tolerance at MAX_DEPTH raises ValueError.
+
+    The panels of all pieces are bisected together, a level at a time:
+    f is called once per level on the 1-D array of every open panel's 15
+    nodes, so it must act elementwise.  Each panel's K15 and G7 are
+    per-row dot products, and the accepted panels are summed in the order
+    a depth-first, right-half-first bisection would accept them (pieces
+    ascending, panels within a piece by descending left end), so value
+    and error are bit-identical to that panel-at-a-time loop.  Of the
+    panels that miss their tolerance at MAX_DEPTH, the error names the
+    one that loop reaches first: in the lowest piece, the rightmost.
     """
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    width = b - a
+    piece = np.arange(len(pts) - 1)
+    x0 = np.array(pts[:-1], dtype=np.float64)
+    x1 = np.array(pts[1:], dtype=np.float64)
+    accepted = []                       # (piece, x0, value, error)
+    depth = 0
+    while len(piece):
+        half = 0.5 * (x1 - x0)
+        mid = 0.5 * (x0 + x1)
+        ys = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+        split = np.zeros(len(piece), dtype=bool)
+        for i, (p, lo, hi, h, y) in enumerate(zip(
+                piece.tolist(), x0.tolist(), x1.tolist(), half.tolist(),
+                ys.reshape(len(piece), len(_NODES)))):
+            k15 = h * float(np.dot(_WK, y))
+            err = abs(k15 - h * float(np.dot(_WG15, y)))
+            if err <= tol * max((hi - lo) / width, 1e-6):
+                accepted.append((p, lo, k15, err))
+            else:
+                split[i] = True
+        piece, x0, x1 = piece[split], x0[split], x1[split]
+        if len(piece) and depth == MAX_DEPTH:
+            _, lo, hi = min(zip(piece.tolist(), x0.tolist(), x1.tolist()),
+                            key=lambda t: (t[0], -t[1]))
+            raise ValueError(f"quadrature panel [{lo!r}, {hi!r}] misses "
+                             f"its tolerance after {MAX_DEPTH} bisections")
+        xm = 0.5 * (x0 + x1)
+        piece = np.concatenate([piece, piece])
+        x0, x1 = np.concatenate([x0, xm]), np.concatenate([xm, x1])
+        depth += 1
     total = 0.0
     err_total = 0.0
-    width = b - a
-    for lo, hi in zip(pts, pts[1:]):
-        stack = [(lo, hi, 0)]
-        while stack:
-            x0, x1, depth = stack.pop()
-            val, err = _gk15(f, x0, x1)
-            if err <= tol * max((x1 - x0) / width, 1e-6):
-                total += val
-                err_total += err
-            elif depth >= MAX_DEPTH:
-                raise ValueError(f"quadrature panel [{x0!r}, {x1!r}] misses "
-                                 f"its tolerance after {MAX_DEPTH} bisections")
-            else:
-                xm = 0.5 * (x0 + x1)
-                stack.append((x0, xm, depth + 1))
-                stack.append((xm, x1, depth + 1))
+    for _, _, val, err in sorted(accepted, key=lambda t: (t[0], -t[1])):
+        total += val
+        err_total += err
     return total, err_total
 
 
@@ -292,6 +312,15 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
 # Oscillatory asymptotic profile
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _asymptotic_terms() -> tuple[np.ndarray, tuple[float, ...]]:
+    """The d <= ASYMPTOTIC_DMAX with Q(d) != 0, as float64, and their
+    weights float(Q(d)) * sqrt(d)."""
+    ds = [d for d in range(1, ASYMPTOTIC_DMAX + 1) if _q_exact(d) != 0]
+    return (np.array(ds, dtype=np.float64),
+            tuple(float(_q_exact(d)) * math.sqrt(d) for d in ds))
+
+
 def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     """The weight-independent oscillation profile in the T = sqrt(y)
     coordinate:
@@ -305,19 +334,42 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     large-argument Bessel expansion through z = 4 pi s T / d.  The k
     dependence is the global sign alone (the standard large-argument phase
     of J_{k-1} evaluates to (-1)^(k/2-1) cos(z - 3 pi/4) for even k).
+
+    The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK; a
+    thread pool with one worker per CPU this process may run on builds
+    each block's phase matrix (4 MB), takes its cosines in place (numpy
+    releases the GIL there) and dots each row with s^(-3/2).  The main
+    thread adds the weighted row sums in d order, so the value is
+    bit-identical to a one-d-at-a-time loop, and peak memory is one block
+    per worker.
     """
+    # imported here: concurrent.futures adds ~10 ms to every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
     if T <= 0:
         raise ValueError("T must be positive")
     al = euler_constant("alpha", cfg.pmax).value
+    ds, weights = _asymptotic_terms()
     s = np.arange(1, ASYMPTOTIC_SMAX + 1, dtype=np.float64)
     sw = s ** -1.5
+    freq = (4.0 * math.pi * T) / ds
+
+    # Workers call numpy only, never a public function of this package:
+    # perfbench/tracer.py wraps those with one call stack per process,
+    # which is not thread-safe.
+    def row_sums(lo: int) -> list[float]:
+        phases = freq[lo:lo + _ASYMPTOTIC_BLOCK, None] * s
+        phases -= 0.75 * math.pi
+        np.cos(phases, out=phases)
+        return [float(np.dot(row, sw)) for row in phases]
+
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        blocks = list(pool.map(row_sums,
+                               range(0, len(ds), _ASYMPTOTIC_BLOCK)))
     total = 0.0
-    for d in range(1, ASYMPTOTIC_DMAX + 1):
-        q = _q_exact(d)
-        if q == 0:
-            continue
-        phases = 4.0 * math.pi * T / d * s - 0.75 * math.pi
-        total += float(q) * math.sqrt(d) * float(np.dot(np.cos(phases), sw))
+    dots = (dot for block in blocks for dot in block)
+    for w, dot in zip(weights, dots):
+        total += w * dot
     return _sign(cfg.k) * al / (math.pi * math.sqrt(2.0)) * total
 
 

@@ -55,6 +55,36 @@ def test_verify_constants_bytes_pinned(tmp_path):
         "a81f429f8a4b5ea23a72bb0843830f6239e5fd93a26ea50456cb93c2a3f6dd1f"
 
 
+@pytest.mark.parametrize("form, k, grid, digest", [
+    ("bessel", "2", "0.027777777777777776:4.027777777777778:0.25",
+     "493c05dff7bde96e85de981de2eed3012a7027ea7215f87f240112d4872341fc"),
+    ("bessel", "4", "0.027777777777777776:4.027777777777778:0.25",
+     "1c32c1d4b919ffdb42df8d41645f55aaa9b0bbe6169906f6321732b3d36e497e"),
+    ("chebyshev", "4", "0.0001111111111111111:4.000111111111111:0.001",
+     "94b6b33e42868e45e28ba14903856104ad5f547a7991470ce63414dc575277dd"),
+    ("asymptotic", "2", "0.05555555555555556:1.0055555555555555:0.05",
+     "f64d1ca824bd3fb56bc92a5e227691d55cf20be225d78121f2be891c8ee91c30"),
+], ids=["bessel-k2", "bessel-k4", "chebyshev-k4", "asymptotic-k2"])
+def test_density_bytes_pinned(form, k, grid, digest, tmp_path):
+    """The stdout digests the benchmark's reference records for the
+    density steps of its first input (each grid shifted by a ninth of a
+    step): a change that moves a last bit fails here."""
+    res = run(["density", "--form", form, "--k", k, "--y-grid", grid],
+              tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("form", ["chebyshev", "bessel", "asymptotic"])
+def test_density_negative_y_exits_2(form, tmp_path):
+    res = run(["density", "--form", form, "--k", "2",
+               "--y-grid=-0.5:0:0.25"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [
+        "murmur density: y must be positive"]
+
+
 def test_parse_grid_stops_at_stop():
     assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
     assert len(cli._parse_grid("0:1:0.1")) == 11

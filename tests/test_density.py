@@ -2,6 +2,11 @@
 forms against each other, and closed forms."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.constants import euler_constant
-from murmurations.density import (DensityConfig, adaptive_quadrature,
+from murmurations.density import (ASYMPTOTIC_DMAX, ASYMPTOTIC_SMAX, MAX_DEPTH,
+                                  QUAD_TOL, DensityConfig, _kink_breakpoints,
+                                  _NODES, _q_exact, _summed_kernel_integrand,
+                                  _WG15, _WK, adaptive_quadrature,
                                   bessel_inner_sum, chebyshev_U,
                                   dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
@@ -54,6 +62,94 @@ def test_adaptive_quadrature_raises_on_undeclared_jump():
         adaptive_quadrature(step, 0.0, 1.0, 1e-9)
     val, _ = adaptive_quadrature(step, 0.0, 1.0, 1e-9, breakpoints=(1 / 3,))
     assert val == pytest.approx(2000 / 3, abs=1e-9)
+
+
+def _depth_first_quadrature(f, a, b, tol, breakpoints=()):
+    """The panel-at-a-time stack loop that adaptive_quadrature replaced:
+    one f call per 15-node panel, right half popped first."""
+    def gk15(x0, x1):
+        half = 0.5 * (x1 - x0)
+        mid = 0.5 * (x0 + x1)
+        y = f(mid + half * _NODES)
+        k15 = half * float(np.dot(_WK, y))
+        g7 = half * float(np.dot(_WG15, y))
+        return k15, abs(k15 - g7)
+
+    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    total = 0.0
+    err_total = 0.0
+    width = b - a
+    for lo, hi in zip(pts, pts[1:]):
+        stack = [(lo, hi, 0)]
+        while stack:
+            x0, x1, depth = stack.pop()
+            val, err = gk15(x0, x1)
+            if err <= tol * max((x1 - x0) / width, 1e-6):
+                total += val
+                err_total += err
+            elif depth >= MAX_DEPTH:
+                raise ValueError(f"quadrature panel [{x0!r}, {x1!r}] misses "
+                                 f"its tolerance after {MAX_DEPTH} bisections")
+            else:
+                xm = 0.5 * (x0 + x1)
+                stack.append((x0, xm, depth + 1))
+                stack.append((xm, x1, depth + 1))
+    return total, err_total
+
+
+def _kernel_breakpoints(c):
+    # the log singularities bessel_inner_sum declares: c sin(t) = 2 pi j
+    bps = []
+    j = 1
+    while 2.0 * math.pi * j < c:
+        t = math.asin(2.0 * math.pi * j / c)
+        bps += [t, math.pi - t]
+        j += 1
+    return tuple(bps)
+
+
+def _dyadic_integrand(k, y):
+    cfg = DensityConfig(k=k)
+    return lambda u: np.array([ui * murmuration_density(cfg, y / ui)
+                               for ui in u])
+
+
+_QUADRATURE_CASES = [
+    ("sin", lambda: (np.sin, 0.0, math.pi, 1e-12, ())),
+    ("sqrt-kink", lambda: (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0,
+                           1e-10, (0.3,))),
+    *[(f"kernel-{order}-{c}",
+       lambda order=order, c=c: (_summed_kernel_integrand(order, c), 0.0,
+                                 math.pi, QUAD_TOL, _kernel_breakpoints(c)))
+      for order in (1, 2, 3, 4) for c in (3.0, 9.0, 25.5, 60.0)],
+    *[(f"dyadic-{k}-{y}",
+       lambda k=k, y=y: (_dyadic_integrand(k, y), 1.0, 2.0, QUAD_TOL,
+                         _kink_breakpoints(y, 1.0, 2.0)))
+      for k in (2, 4) for y in (0.3, 1.7, 3.1)],
+]
+
+
+@pytest.mark.parametrize("case", [c for _, c in _QUADRATURE_CASES],
+                         ids=[name for name, _ in _QUADRATURE_CASES])
+def test_adaptive_quadrature_matches_depth_first_loop(case):
+    """Level-at-a-time evaluation sums the same panels in the same order:
+    (value, error) equal to the last bit."""
+    args = case()
+    assert adaptive_quadrature(*args) == _depth_first_quadrature(*args)
+
+
+def test_adaptive_quadrature_names_the_depth_first_failing_panel():
+    # undeclared jumps at 0.1 and 0.3 in the first piece and at 0.9 in
+    # the second: the panels holding each of them miss their tolerance at
+    # MAX_DEPTH, and the stack loop reaches the one at 0.3 first
+    jumps = lambda x: 1000.0 * sum(x > j for j in (0.1, 0.3, 0.9))
+    with pytest.raises(ValueError) as old:
+        _depth_first_quadrature(jumps, 0.0, 2.0, 1e-9, (0.55,))
+    with pytest.raises(ValueError) as new:
+        adaptive_quadrature(jumps, 0.0, 2.0, 1e-9, (0.55,))
+    assert str(new.value) == str(old.value)
+    lo = float(str(old.value).split("[")[1].split(",")[0])
+    assert lo == pytest.approx(0.3, abs=1e-15)
 
 
 # -- the summed Bessel kernel ----------------------------------------------
@@ -134,6 +230,67 @@ def test_asymptotic_sign_flip():
         a4 = universal_asymptotic(T, DensityConfig(k=4))
         a6 = universal_asymptotic(T, DensityConfig(k=6))
         assert a4 == pytest.approx(-a6, rel=1e-12)
+
+
+def _per_d_asymptotic(T, cfg):
+    """The one-d-at-a-time loop that universal_asymptotic replaced."""
+    al = euler_constant("alpha", cfg.pmax).value
+    s = np.arange(1, ASYMPTOTIC_SMAX + 1, dtype=np.float64)
+    sw = s ** -1.5
+    total = 0.0
+    for d in range(1, ASYMPTOTIC_DMAX + 1):
+        q = _q_exact(d)
+        if q == 0:
+            continue
+        phases = 4.0 * math.pi * T / d * s - 0.75 * math.pi
+        total += float(q) * math.sqrt(d) * float(np.dot(np.cos(phases), sw))
+    sign = -1.0 if cfg.k % 4 == 0 else 1.0
+    return sign * al / (math.pi * math.sqrt(2.0)) * total
+
+
+# T = sqrt(y) on the asymptotic grid of the density benchmark's first
+# input (0.05:1:0.05 shifted by a ninth of a step), and the T above
+_BENCHMARK_TS = [math.sqrt(0.05 + 0.05 / 9 + i * 0.05) for i in range(20)]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_universal_asymptotic_matches_per_d_loop(k):
+    cfg = DensityConfig(k=k)
+    for T in _BENCHMARK_TS + [11.13, 23.71, 60.0, 95.5]:
+        assert universal_asymptotic(T, cfg) == _per_d_asymptotic(T, cfg), T
+
+
+def test_universal_asymptotic_memory_and_threads():
+    # one 4 MB phase block per worker, never the 39 MB full matrix; the
+    # calling thread is held to at most two CPUs so the bound does not
+    # depend on the machine, and every worker thread is gone on return
+    cfg = DensityConfig(k=2)
+    universal_asymptotic(7.0, cfg)              # constants and Q(d) cached
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(cpus)[:2])
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        universal_asymptotic(7.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.sched_setaffinity(0, cpus)
+    assert peak <= 16 * 2 ** 20
+    assert threading.active_count() == threads
+
+
+def test_universal_asymptotic_same_on_one_cpu():
+    code = ("import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from murmurations.density import DensityConfig, "
+            "universal_asymptotic\n"
+            "print(repr(universal_asymptotic(23.71, DensityConfig(k=2))))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == repr(universal_asymptotic(23.71,
+                                                   DensityConfig(k=2))) + "\n"
 
 
 def test_asymptotic_tracks_density():
