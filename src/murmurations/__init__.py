@@ -18,6 +18,7 @@ Subpackage layout:
     density       the limiting density M_k(y): Chebyshev form, Bessel-series
                   form, asymptotic form, dyadic and smoothed averages
     signcheck     certified sign-change verification on a finite grid
+    parallel      cpu_map, the thread pool the numpy kernels share
     cli           command-line entry point (`murmur`)
 """
 

@@ -202,15 +202,20 @@ def _factor_hard(n: int) -> dict[int, int]:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (sieve of Eratosthenes on flags)."""
+    """All primes <= n as an int64 array: 2, then a sieve of Eratosthenes
+    on flags for the odd numbers only (flag i stands for 2i + 1)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p:: p] = False
-    return np.nonzero(flags)[0].astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2::p] = False
+    out = np.flatnonzero(odd)
+    out *= 2
+    out += 1
+    return np.concatenate(([2], out)).astype(np.int64, copy=False)
 
 
 def build_sieve(limit: int) -> FactorSieve:

@@ -18,7 +18,6 @@ and the k=2 dyadic closed form.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,6 +26,7 @@ import numpy as np
 
 from .constants import euler_constant
 from .multfns import Q, nu
+from .parallel import cpu_map
 
 
 # Truncation of universal_asymptotic's double series: d <= ASYMPTOTIC_DMAX,
@@ -335,17 +335,14 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     dependence is the global sign alone (the standard large-argument phase
     of J_{k-1} evaluates to (-1)^(k/2-1) cos(z - 3 pi/4) for even k).
 
-    The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK; a
-    thread pool with one worker per CPU this process may run on builds
+    The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK;
+    cpu_map's pool, one worker per CPU this process may run on, builds
     each block's phase matrix (4 MB), takes its cosines in place (numpy
     releases the GIL there) and dots each row with s^(-3/2).  The main
     thread adds the weighted row sums in d order, so the value is
     bit-identical to a one-d-at-a-time loop, and peak memory is one block
     per worker.
     """
-    # imported here: concurrent.futures adds ~10 ms to every CLI start
-    from concurrent.futures import ThreadPoolExecutor
-
     if T <= 0:
         raise ValueError("T must be positive")
     al = euler_constant("alpha", cfg.pmax).value
@@ -354,18 +351,13 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     sw = s ** -1.5
     freq = (4.0 * math.pi * T) / ds
 
-    # Workers call numpy only, never a public function of this package:
-    # perfbench/tracer.py wraps those with one call stack per process,
-    # which is not thread-safe.
     def row_sums(lo: int) -> list[float]:
         phases = freq[lo:lo + _ASYMPTOTIC_BLOCK, None] * s
         phases -= 0.75 * math.pi
         np.cos(phases, out=phases)
         return [float(np.dot(row, sw)) for row in phases]
 
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        blocks = list(pool.map(row_sums,
-                               range(0, len(ds), _ASYMPTOTIC_BLOCK)))
+    blocks = cpu_map(row_sums, range(0, len(ds), _ASYMPTOTIC_BLOCK))
     total = 0.0
     dots = (dot for block in blocks for dot in block)
     for w, dot in zip(weights, dots):

@@ -14,6 +14,7 @@ profile at that point.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +24,7 @@ import numpy as np
 from .arith import shared_sieve
 from .constants import ZETA_3_2, q_table, qsqrt_sum_upper_bound
 from .multfns import Q
+from .parallel import cpu_map
 
 # The 25-element truncation set whose period is 3*5*7*11*13 = 15015.
 DEFAULT_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35,
@@ -39,6 +41,13 @@ REFERENCE_QSQRT_BOUND = 3.0907 + 0.00004
 # the half-period past the certified negative midpoint.
 PROBE_INTERVAL = (15014.5, 15015.0)
 PROBE_POINTS = 2001
+
+# grid_verify's phase buffers, one per worker, together take at most this
+# many bytes (but always at least one buffer).
+_GRID_BUFFER_BYTES = 128 * 2 ** 20
+
+# Elements of s^(-3/2) per _s_weights task.
+_WEIGHT_BLOCK = 1 << 18
 
 
 def m_max_bounds() -> tuple[float, float]:
@@ -108,7 +117,17 @@ class SignCheckCertificate:
 
 @lru_cache(maxsize=2)
 def _s_weights(S: int) -> np.ndarray:
-    return np.arange(1, S + 1, dtype=np.float64) ** -1.5
+    """s^(-3/2) for s = 1..S, computed in place in slices of
+    _WEIGHT_BLOCK on cpu_map's pool; the power is elementwise, so the bits
+    are those of np.arange(1, S + 1.) ** -1.5."""
+    w = np.arange(1, S + 1, dtype=np.float64)
+
+    def fill(lo: int) -> None:
+        block = w[lo:lo + _WEIGHT_BLOCK]
+        np.power(block, -1.5, out=block)
+
+    cpu_map(fill, range(0, S, _WEIGHT_BLOCK))
+    return w
 
 
 def f_polylog(x: float, S: int) -> tuple[float, float]:
@@ -173,6 +192,43 @@ def _offset_fraction(o: float) -> Fraction:
     return Fraction(o).limit_denominator(10 ** 9)
 
 
+def _f_values(xs: list[float], S: int) -> list[float]:
+    """f_polylog(x, S)[0] for every x in xs, bit for bit, on cpu_map's
+    pool: each worker takes whole x's, forming fl(s * 4 pi x) - 3 pi/4 in
+    a phase buffer, its cosines in place and one full-length dot with
+    _s_weights(S).
+
+    The calling thread allocates every S-length array (the shared 1..S
+    base and min(CPUs, len(xs), _GRID_BUFFER_BYTES // 8S) phase buffers,
+    handed out through a queue), so no worker's malloc arena keeps an
+    S-length block after the call.  Workers run numpy only.
+    """
+    # imported here: the CLI does not load queue when it starts
+    import queue
+
+    if not xs:
+        return []
+    w = _s_weights(S)
+    base = np.arange(1, S + 1, dtype=np.float64)
+    nbuf = min(len(os.sched_getaffinity(0)), len(xs),
+               max(1, _GRID_BUFFER_BYTES // (8 * S)))
+    free: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
+    for _ in range(nbuf):
+        free.put(np.empty(S, dtype=np.float64))
+
+    def f(x: float) -> float:
+        a = free.get()
+        try:
+            np.multiply(base, 4.0 * math.pi * x, out=a)
+            a -= 0.75 * math.pi
+            np.cos(a, out=a)
+            return float(np.dot(a, w))
+        finally:
+            free.put(a)
+
+    return cpu_map(f, xs)
+
+
 def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     """Scan one full period at each offset and certify signs.
 
@@ -183,6 +239,17 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     With the offset written o = num/den, (k + o)/d mod 1/2 = r/(2 den d)
     with r = 2(k den + num) mod (den d), so f is evaluated once per
     distinct lattice point.
+
+    Each offset collects its lattice points r/(2 den d) that no earlier
+    offset evaluated, evaluates them all at once through _f_values (one
+    whole point per worker thread, with the bits of f_polylog), then adds
+    the weighted totals in the order of D, so the pool's size never moves
+    a bit.  OpenBLAS's thread count does: it splits each dot longer than
+    10,000 elements over its own threads, as many as the CPUs it found at
+    start unless OPENBLAS_NUM_THREADS says otherwise, and adds their
+    partial sums.  f(0) at S = 4.01e6 differs by 10 ulp between two
+    threads and one, so unlike density's outputs the certificate's last
+    bits depend on the machine.
     """
     budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
@@ -191,21 +258,22 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     cert = SignCheckCertificate(period=period(cfg.D), error_budget=budget,
                                 inner_tail=inner_tail, grid=npts)
     ks = np.arange(1, npts + 1, dtype=np.int64)
+    values: dict[float, float] = {}
     for o in cfg.offsets:
         ofr = _offset_fraction(o)
         num, den = ofr.numerator, ofr.denominator
-        cache: dict[float, float] = {}
-        total = np.zeros(npts, dtype=np.float64)
-        for d, wd in zip(cfg.D, weights):
+        lattices = []
+        for d in cfg.D:
             r = (2 * den * (ks % d) + 2 * num) % (den * d)
             lattice, inv = np.unique(r, return_inverse=True)
-            vals = np.empty(lattice.size, dtype=np.float64)
-            for i, ri in enumerate(lattice.tolist()):
-                key = ri / (2 * den * d)
-                if key not in cache:
-                    cache[key], _ = f_polylog(key, cfg.S)
-                vals[i] = cache[key]
-            total += wd * vals[inv]
+            lattices.append(([ri / (2 * den * d) for ri in lattice.tolist()],
+                             inv))
+        new = list(dict.fromkeys(key for keys, _ in lattices for key in keys
+                                 if key not in values))
+        values.update(zip(new, _f_values(new, cfg.S)))
+        total = np.zeros(npts, dtype=np.float64)
+        for wd, (keys, inv) in zip(weights, lattices):
+            total += wd * np.array([values[key] for key in keys])[inv]
         sign = 1 if total[0] > 0 else -1
         margins = np.abs(total) - (budget + inner_tail + 1e-9)
         i = int(np.argmin(margins))

@@ -4,6 +4,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from murmurations import arith
 from murmurations.arith import (build_sieve, is_prime, kronecker,
-                                shared_sieve, squarefree_flags,
+                                primes_upto, shared_sieve, squarefree_flags,
                                 squarefree_in_class_count, sum_mu2_phi)
 
 SIEVE = build_sieve(100000)
@@ -63,6 +64,24 @@ def test_build_sieve_matches_trial_division():
         assert spf.typecode == "q" and len(spf) == L + 1
         assert spf[0] == 0 and spf[1] == 1
         assert all(spf[n] == _spf_oracle(n) for n in range(2, L + 1)), L
+
+
+def _assert_primes_upto(n):
+    got = primes_upto(n)
+    assert got.dtype == np.int64, n
+    assert got.tolist() == list(sympy.primerange(n + 1)), n
+
+
+def test_primes_upto_matches_sympy():
+    # every n up to 200, then the edges of the odd-only sieve's crossing-off
+    # start p*p, then a bulk count
+    for n in range(201):
+        _assert_primes_upto(n)
+    for p in (3, 5, 7, 11, 31, 97, 997):
+        for n in (p * p - 1, p * p, p * p + 1):
+            _assert_primes_upto(n)
+    _assert_primes_upto(10 ** 6)
+    assert primes_upto(10 ** 6).size == 78498
 
 
 def test_shared_sieve_grows_and_never_shrinks(monkeypatch):

@@ -2,6 +2,8 @@
 periodicity, budgets, and the grid/probe machinery at reduced cutoffs."""
 
 import math
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -244,24 +246,47 @@ def _grid_verify_fraction_loop(cfg):
     return out
 
 
-def test_grid_verify_matches_fraction_loop():
-    cfg = SignCheckConfig(D=(2, 3, 5, 7), S=5000,
+def _assert_grid_verify_matches_fraction_loop(S):
+    cfg = SignCheckConfig(D=(2, 3, 5, 7), S=S,
                           offsets=(0.0, 0.5, 0.162, 0.3))
     got = [(v.sign, v.worst_margin, v.worst_k, v.passed)
            for v in grid_verify(cfg).verdicts]
     assert got == _grid_verify_fraction_loop(cfg)
 
 
-def test_grid_verify_fails_non_finite_total(monkeypatch):
-    # a NaN at one lattice point must fail the offset, not slip through
-    # both the margin and the sign comparison
-    def fake(x, S):
-        return (math.nan if x == 0.25 else -100.0), 2.0 / math.sqrt(S)
+def test_grid_verify_matches_fraction_loop():
+    _assert_grid_verify_matches_fraction_loop(5000)
 
-    monkeypatch.setattr(signcheck, "f_polylog", fake)
-    cfg = SignCheckConfig(D=(1, 2), S=5000, offsets=(0.0, 0.5))
-    ok, bad = grid_verify(cfg).verdicts     # k = 1: x = 0 and x = 1/4
-    assert ok.passed and not bad.passed
+
+def test_grid_verify_matches_fraction_loop_above_blas_threshold():
+    # S above OpenBLAS's 10,000-element threading threshold: the worker
+    # threads' dot products are themselves threaded, and run concurrently
+    _assert_grid_verify_matches_fraction_loop(200_000)
+
+
+def test_grid_verify_fails_non_finite_total(monkeypatch):
+    # a non-finite value at one lattice point must fail the offset, not slip
+    # through both the margin and the sign comparison: a NaN fails the
+    # margin test by itself, -inf only through the finiteness check
+    for value in (math.nan, math.inf, -math.inf):
+        seen = []
+
+        def fake(xs, S, value=value):
+            seen.extend(xs)
+            return [value if x == 0.25 else -100.0 for x in xs]
+
+        monkeypatch.setattr(signcheck, "_f_values", fake)
+        cfg = SignCheckConfig(D=(1, 2), S=5000, offsets=(0.0, 0.5))
+        ok, bad = grid_verify(cfg).verdicts     # k = 1: x = 0 and x = 1/4
+        assert 0.25 in seen
+        assert ok.passed and not bad.passed, value
+
+
+@pytest.mark.parametrize("S", [1, 2, 3, 7, 100_001])
+def test_s_weights_match_single_expression(S):
+    # filled slice by slice on the pool, with the bits of one power call
+    want = np.arange(1, S + 1, dtype=np.float64) ** -1.5
+    assert _s_weights.__wrapped__(S).tobytes() == want.tobytes()
 
 
 # Memory guards: the profile's temporaries scale with its output, not S.
@@ -283,3 +308,21 @@ def test_f_grid_memory_independent_of_S():
 def test_f_polylog_one_temporary():
     _s_weights(10 ** 6)
     assert _traced_peak_mb(lambda: f_polylog(0.3, 10 ** 6)) < 12.0
+
+
+def test_grid_verify_memory_and_threads():
+    # the calling thread allocates the 1..S base and one phase buffer per
+    # worker, at most two with the CPUs held to two; every worker thread is
+    # gone on return
+    S = 500_000
+    cfg = SignCheckConfig(D=(2, 3, 5, 7), S=S, offsets=(0.0, 0.162))
+    grid_verify(cfg)                    # budget and weights cached
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(cpus)[:2])
+    threads = threading.active_count()
+    try:
+        peak = _traced_peak_mb(lambda: grid_verify(cfg))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert peak <= (3 * 8 * S) / 2 ** 20 + 1.0
+    assert threading.active_count() == threads
