@@ -24,7 +24,7 @@ def main() -> None:
     ys = [i * args.step for i in range(1, n + 1)]
     for k in (int(t) for t in args.weights.split(",")):
         cfg = DensityConfig(k=k)
-        vals = [murmuration_density(cfg, y) for y in ys]
+        vals = murmuration_density(cfg, ys).tolist()
         with open(outdir / f"density_k{k}.csv", "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["y", "value"])

@@ -236,18 +236,23 @@ def load_table(path: str | os.PathLike) -> HurwitzTable:
 
 def fundamental_decomposition(d: int) -> tuple[int, int]:
     """Write -d = d0 * f^2 with d0 a fundamental discriminant; return (d0, f)."""
+    d0, f, _ = _decompose(d)
+    return d0, math.prod(p ** e for p, e in f)
+
+
+def _decompose(d: int):
+    """fundamental_decomposition(d) with f as (p, e) pairs, and d's factors."""
     _check_disc(d)
-    s, f = 1, 1
-    for p, e in shared_sieve().factor(d):
-        if e % 2:
-            s *= p
-        f *= p ** (e // 2)
+    factors = shared_sieve().factor(d)
+    s = math.prod(p for p, e in factors if e % 2)
+    f = [(p, e // 2) for p, e in factors if e > 1]
     if s % 4 == 3:
-        return -s, f
+        return -s, f, factors
     # s = 1, 2 mod 4: fundamental part is -4s, pulling one factor 2 out of f
-    if f % 2:
+    if not f or f[0][0] != 2:
         raise ValueError(f"-{d} is not a discriminant")  # unreachable for valid d
-    return -4 * s, f // 2
+    f = [(p, e - (p == 2)) for p, e in f if (p, e) != (2, 1)]
+    return -4 * s, f, factors
 
 
 def gauss_h_certified(q: int) -> int:
@@ -267,12 +272,13 @@ def gauss_h_certified(q: int) -> int:
     absorbs.  A non-fundamental -q raises ValueError (see
     hurwitz_H1_certified).
     """
-    if fundamental_decomposition(q) != (-q, 1):
+    d0, f, factors = _decompose(q)
+    if (d0, f) != (-q, []):
         raise ValueError(f"-{q} is not a fundamental discriminant")
     if q == 3 or q == 4:
         return 1
     n0 = _cutoff(q)
-    chi = _chi_table(-q, n0)
+    chi = _chi_table(-q, n0, factors)
     # only n with chi(n) != 0 contribute; blocks of 16384 stay in cache
     support = _np.flatnonzero(chi) + 1
     lval = 0.0
@@ -347,17 +353,17 @@ def hurwitz_H1_certified(d: int) -> Fraction:
         raise ValueError("d must be positive")
     if (-d) % 4 in (2, 3):
         return Fraction(0)
-    d0, F = fundamental_decomposition(d)
+    d0, F, _ = _decompose(d)
     total = 1
-    for p, e in shared_sieve().factor(F):
+    for p, e in F:
         total *= 1 + (p - kronecker(d0, p)) * (p ** e - 1) // (p - 1)
     # 2 / w(d0): w = 6 at d0 = -3, 4 at d0 = -4, else 2
     return Fraction(gauss_h_certified(-d0) * total, {3: 3, 4: 2}.get(-d0, 1))
 
 
-def _chi_table(d0: int, n0: int):
+def _chi_table(d0: int, n0: int, factors: list[tuple[int, int]]):
     """chi_{d0}(n) = (d0|n) for n = 1..n0 as an int8 array of -1, 0, +1,
-    for a discriminant d0 (d0 = 0 or 1 mod 4).
+    for a discriminant d0 (d0 = 0 or 1 mod 4) and the (p, e) pairs of |d0|.
 
     A product of prime-discriminant characters (Cox, Primes of the form
     x^2 + ny^2, Sections 7 and 9): with l* = (-1)^((l-1)/2) l for each odd
@@ -373,7 +379,7 @@ def _chi_table(d0: int, n0: int):
     assert d0 % 4 in (0, 1), d0
     chi = _np.ones(n0 + 1, dtype=_np.int8)  # chi[n], n = 0..n0
     u = d0
-    for l, e in shared_sieve().factor(abs(d0)):
+    for l, e in factors:
         if l == 2:
             continue
         u //= (l if l % 4 == 1 else -l) ** e

@@ -138,19 +138,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
         raise ValueError("y must be positive")
     cfg = DensityConfig(k=args.k, pmax=args.pmax)
     rows: list[list[object]] = []
-    for y in ys:
-        if y == 0.0:
-            # continuous limit at the origin; no asymptotic value there
-            rows.append([y, 0.0 if args.form != "asymptotic" else math.nan,
-                         0.0])
-            continue
-        if args.form == "chebyshev":
-            val, tail = murmuration_density(cfg, y), 0.0
-        elif args.form == "bessel":
-            val, tail = murmuration_density_bessel(cfg, y)
-        else:
-            val, tail = universal_asymptotic(math.sqrt(y), cfg), math.nan
-        rows.append([y, val, tail])
+    if ys[0] == 0.0:
+        # continuous limit at the origin; no asymptotic value there
+        rows.append([ys.pop(0), 0.0 if args.form != "asymptotic"
+                     else math.nan, 0.0])
+    if args.form == "chebyshev":
+        vals = murmuration_density(cfg, ys).tolist()
+        rows += [[y, val, 0.0] for y, val in zip(ys, vals)]
+    elif args.form == "bessel":
+        rows += [[y, *murmuration_density_bessel(cfg, y)] for y in ys]
+    else:
+        rows += [[y, universal_asymptotic(math.sqrt(y), cfg), math.nan]
+                 for y in ys]
     _write_csv(args.out, ["y", "value", "tail_bound"], rows)
     if args.svg:
         _write_svg(args.svg, [r[0] for r in rows], [r[1] for r in rows])

@@ -11,8 +11,9 @@ cross-checked against each other:
                                   only error sources are quadrature and a
                                   certified Euler-product bracket
 
-plus the oscillatory asymptotic profile, dyadic and smoothed averages,
-and the k=2 dyadic closed form.
+plus the oscillatory asymptotic profile, dyadic and smoothed averages
+(M_k taken on arrays of every node of a bisection level, a smoothing
+weight phi called node by node), and the k=2 dyadic closed form.
 """
 
 from __future__ import annotations
@@ -74,22 +75,22 @@ def _sign(k: int) -> float:
 # Chebyshev polynomials
 # ---------------------------------------------------------------------------
 
-def chebyshev_U(n: int, x: float) -> float:
+def chebyshev_U(n: int, x):
     """Chebyshev polynomial of the second kind, U_n(cos t) = sin((n+1)t)/sin t.
 
-    Accepts |x| up to 1 + 1e-12 (clamped); |U_n(x)| <= n + 1 on [-1, 1].
+    Takes a float (giving a float) or an array, each entry with |x| up to
+    1 + 1e-12 (clamped); |U_n(x)| <= n + 1 on [-1, 1].
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if abs(x) > 1 + 1e-12:
+    x = np.asarray(x, dtype=np.float64)
+    if (np.abs(x) > 1 + 1e-12).any():
         raise ValueError("argument outside [-1, 1]")
-    x = min(1.0, max(-1.0, x))
-    if n == 0:
-        return 1.0
-    u0, u1 = 1.0, 2.0 * x
-    for _ in range(n - 1):
+    x = np.clip(x, -1.0, 1.0)
+    u0, u1 = np.zeros(x.shape), np.ones(x.shape)    # U_{-1}, U_0
+    for _ in range(n):
         u0, u1 = u1, 2.0 * x * u1 - u0
-    return u1
+    return u1 if u1.ndim else float(u1)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +130,13 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
 
     The panels of all pieces are bisected together, a level at a time:
     f is called once per level on the 1-D array of every open panel's 15
-    nodes, so it must act elementwise.  Each panel's K15 and G7 are
-    per-row dot products, and the accepted panels are summed in the order
-    a depth-first, right-half-first bisection would accept them (pieces
-    ascending, panels within a piece by descending left end), so value
-    and error are bit-identical to that panel-at-a-time loop.  Of the
-    panels that miss their tolerance at MAX_DEPTH, the error names the
-    one that loop reaches first: in the lowest piece, the rightmost.
+    nodes, so it must act elementwise.  np.vecdot of those rows gives each
+    K15 and G7 with the bits of a per-row np.dot; the accepted panels are
+    summed one by one in the order a depth-first, right-half-first
+    bisection accepts them (pieces ascending, then descending left end),
+    so value and error are bit-identical to that panel-at-a-time loop.
+    Of the panels still open at MAX_DEPTH, the error names the one that
+    loop reaches first: the rightmost in the lowest piece.
     """
     pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     width = b - a
@@ -148,17 +149,13 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
         half = 0.5 * (x1 - x0)
         mid = 0.5 * (x0 + x1)
         ys = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
-        split = np.zeros(len(piece), dtype=bool)
-        for i, (p, lo, hi, h, y) in enumerate(zip(
-                piece.tolist(), x0.tolist(), x1.tolist(), half.tolist(),
-                ys.reshape(len(piece), len(_NODES)))):
-            k15 = h * float(np.dot(_WK, y))
-            err = abs(k15 - h * float(np.dot(_WG15, y)))
-            if err <= tol * max((hi - lo) / width, 1e-6):
-                accepted.append((p, lo, k15, err))
-            else:
-                split[i] = True
-        piece, x0, x1 = piece[split], x0[split], x1[split]
+        ys = ys.reshape(len(piece), len(_NODES))
+        k15 = half * np.vecdot(ys, _WK)
+        err = np.abs(k15 - half * np.vecdot(ys, _WG15))
+        ok = err <= tol * np.maximum((x1 - x0) / width, 1e-6)
+        accepted += zip(piece[ok].tolist(), x0[ok].tolist(),
+                        k15[ok].tolist(), err[ok].tolist())
+        piece, x0, x1 = piece[~ok], x0[~ok], x1[~ok]
         if len(piece) and depth == MAX_DEPTH:
             _, lo, hi = min(zip(piece.tolist(), x0.tolist(), x1.tolist()),
                             key=lambda t: (t[0], -t[1]))
@@ -180,32 +177,32 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
 # The Chebyshev (finite-sum) form of M_k
 # ---------------------------------------------------------------------------
 
-def murmuration_density(cfg: DensityConfig, y: float) -> float:
-    """M_k(y) via the finite Chebyshev sum.
+def murmuration_density(cfg: DensityConfig, y):
+    """M_k(y) via the finite Chebyshev sum, of a float or an array_like.
 
     M_k(y) = (alpha (-1)^(k/2-1) / (k-1)) sum_{1<=r<=2 sqrt(y)} nu(r)
              * sqrt(4y - r^2) U_{k-2}(r / (2 sqrt y))
              + (beta/(k-1)) sqrt(y) - gamma [k=2] y.
+
+    An r past 2 sqrt(y) adds +-0, so each entry keeps its float's bits.
     """
-    if y <= 0:
+    y = np.asarray(y, dtype=np.float64)
+    if (y <= 0).any():
         raise ValueError("y must be positive")
     k = cfg.k
     al = euler_constant("alpha", cfg.pmax).value
     be = euler_constant("beta", cfg.pmax).value
     ga = euler_constant("gamma", cfg.pmax).value
-    two_sqrt_y = 2.0 * math.sqrt(y)
-    rmax = int(two_sqrt_y)
-    total = 0.0
-    for r in range(1, rmax + 1):
-        rad = 4.0 * y - r * r
-        if rad <= 0.0:
-            continue
-        total += (_nu_float(r) * math.sqrt(rad)
-                  * chebyshev_U(k - 2, r / two_sqrt_y))
-    value = (al * _sign(k) / (k - 1)) * total + (be / (k - 1)) * math.sqrt(y)
+    two_sqrt_y = 2.0 * np.sqrt(y)
+    total = np.zeros(y.shape)
+    for r in range(1, int(two_sqrt_y.max(initial=0.0)) + 1):
+        rad = np.maximum(4.0 * y - r * r, 0.0)
+        u = chebyshev_U(k - 2, np.minimum(r / two_sqrt_y, 1.0))
+        total += _nu_float(r) * np.sqrt(rad) * u
+    value = (al * _sign(k) / (k - 1)) * total + (be / (k - 1)) * np.sqrt(y)
     if k == 2:
         value -= ga * y
-    return value
+    return value if value.ndim else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +335,10 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK;
     cpu_map's pool, one worker per CPU this process may run on, builds
     each block's phase matrix (4 MB), takes its cosines in place (numpy
-    releases the GIL there) and dots each row with s^(-3/2).  The main
-    thread adds the weighted row sums in d order, so the value is
-    bit-identical to a one-d-at-a-time loop, and peak memory is one block
-    per worker.
+    releases the GIL there) and takes each row's np.vecdot with s^(-3/2),
+    which has the bits of a per-row np.dot.  The main thread adds the
+    weighted row sums in d order, so the value is bit-identical to a
+    one-d-at-a-time loop, and peak memory is one block per worker.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -355,7 +352,7 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
         phases = freq[lo:lo + _ASYMPTOTIC_BLOCK, None] * s
         phases -= 0.75 * math.pi
         np.cos(phases, out=phases)
-        return [float(np.dot(row, sw)) for row in phases]
+        return np.vecdot(phases, sw).tolist()
 
     blocks = cpu_map(row_sums, range(0, len(ds), _ASYMPTOTIC_BLOCK))
     total = 0.0
@@ -390,10 +387,8 @@ def dyadic_density(c: float, y: float, cfg: DensityConfig) -> float:
     if y <= 0:
         raise ValueError("y must be positive")
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return np.array([ui * murmuration_density(cfg, y / ui) for ui in u])
-
-    val, _ = adaptive_quadrature(integrand, 1.0, c, QUAD_TOL,
+    val, _ = adaptive_quadrature(lambda u: u * murmuration_density(cfg, y / u),
+                                 1.0, c, QUAD_TOL,
                                  _kink_breakpoints(y, 1.0, c))
     return 2.0 / (c * c - 1.0) * val
 
@@ -442,21 +437,19 @@ def smoothed_average(phi, y: float, cfg: DensityConfig,
     (int M_k(y/u) phi(u) u du) / (int phi(u) u du) over the given support.
 
     phi must be a nonnegative callable vanishing outside support (a sharp
-    window 1_[1,c] is exactly dyadic_density(c, y, cfg))."""
+    window 1_[1,c] is exactly dyadic_density(c, y, cfg)), called on one
+    quadrature node at a time."""
     lo, hi = support
     if not 0 < lo < hi:
         raise ValueError("support must satisfy 0 < lo < hi")
-    bps = _kink_breakpoints(y, lo, hi)
 
-    def num(u: np.ndarray) -> np.ndarray:
-        return np.array([ui * phi(ui) * murmuration_density(cfg, y / ui)
-                         for ui in u])
+    def weight(u: np.ndarray) -> np.ndarray:
+        return u * np.array([phi(ui) for ui in u])
 
-    def den(u: np.ndarray) -> np.ndarray:
-        return np.array([ui * phi(ui) for ui in u])
-
-    nval, _ = adaptive_quadrature(num, lo, hi, QUAD_TOL, bps)
-    dval, _ = adaptive_quadrature(den, lo, hi, QUAD_TOL)
+    nval, _ = adaptive_quadrature(
+        lambda u: weight(u) * murmuration_density(cfg, y / u), lo, hi,
+        QUAD_TOL, _kink_breakpoints(y, lo, hi))
+    dval, _ = adaptive_quadrature(weight, lo, hi, QUAD_TOL)
     if dval == 0.0:
         raise ZeroDivisionError("weight integrates to zero")
     return nval / dval

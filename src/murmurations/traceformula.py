@@ -155,10 +155,12 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
     Unlike the pointwise M_k(P/X), this carries no O(Y/X) drift across
     the window.
     """
+    levels = _square_free_levels(X, X + Y, P)
+    dens = murmuration_density(cfg, [P / N for N in levels]).tolist()
     num = den = 0.0
-    for N in _square_free_levels(X, X + Y, P):
+    for N, m in zip(levels, dens):
         w = float(shared_sieve().euler_phi(N))
-        num += w * murmuration_density(cfg, P / N)
+        num += w * m
         den += w
     return num / den
 

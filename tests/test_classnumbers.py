@@ -213,6 +213,24 @@ def test_certified_needs_fundamental():
     assert gauss_h_certified(1234567) == gauss_h_bruteforce(1234567)
 
 
+def test_certified_factors_each_number_once(monkeypatch):
+    """One uncached H_1(-d) with conductor F > 1 factors d and the
+    fundamental q = -d0 once each: F's factors come from d's, and the
+    character table reuses q's from the fundamentality check."""
+    d = 25 * 47                            # -1175 = -47 * 5^2
+    want = hurwitz_H1(d)
+    sieve = arith.shared_sieve()
+    factored = []
+
+    def factor(n, _factor=sieve.factor):
+        factored.append(n)
+        return _factor(n)
+
+    monkeypatch.setattr(sieve, "factor", factor)
+    assert hurwitz_H1_certified.__wrapped__(d) == want
+    assert factored == [d, 47]
+
+
 def test_only_classnumbers_counts_class_numbers():
     """Elsewhere in the package H_1 comes from a table or from
     hurwitz_H1_certified: no code calls gauss_h_certified or
@@ -246,8 +264,9 @@ CHI_D0 = (-3, -4, -7, -8, -20, -163, -63, -28, -48, -4000004, -11111103,
 
 @pytest.mark.parametrize("d0", CHI_D0)
 def test_chi_table_matches_kronecker(d0):
+    factors = arith.shared_sieve().factor(-d0)
     for n0 in (1, 2, 3, 97, 1500, 10007, 100003):
         want = [kronecker(d0, n) for n in range(1, n0 + 1)]
-        got = _chi_table(d0, n0)
+        got = _chi_table(d0, n0, factors)
         assert got.dtype == np.int8 and len(got) == n0
         assert got.tolist() == want, (d0, n0)

@@ -75,6 +75,25 @@ def test_density_bytes_pinned(form, k, grid, digest, tmp_path):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    ("trace-average --X 500 --Y 50 --P 101 --k 2",
+     "99ba58c347fd36cc218ac322ccd8289022620a092a9fb37a73b11792b84c750c"),
+    ("trace-average --X 500 --Y 50 --P 101 --k 4",
+     "dd24797ac5814b2168880ce5672585cf80175d2af2d7ea72a898552a0081d15e"),
+    ("dyadic-average --X 250 --c 2 --P 101 --k 2",
+     "6b630fa181c964f042f5ab57a511acfec2356529ab7b28989bb7a2ea7df9908b"),
+    ("dyadic-average --X 250 --c 2 --P 101 --k 4",
+     "f2c25f11a8cdaab3dbcc3c1b1e6b0023ea1ec6e8f8285e0de67e4e9a28105af0"),
+], ids=["trace-k2", "trace-k4", "dyadic-k2", "dyadic-k4"])
+def test_trace_bytes_pinned(args, digest, tmp_path):
+    """The stdout digests the benchmark's reference records for its
+    table-trace steps at P = 101, reproduced without a table: a change
+    that moves a last bit of a trace or of the density fails here."""
+    res = run(args.split(), tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("form", ["chebyshev", "bessel", "asymptotic"])
 def test_density_negative_y_exits_2(form, tmp_path):
     res = run(["density", "--form", form, "--k", "2",

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.constants import euler_constant
+from murmurations.multfns import nu
 from murmurations.density import (ASYMPTOTIC_DMAX, ASYMPTOTIC_SMAX, MAX_DEPTH,
                                   QUAD_TOL, DensityConfig, _kink_breakpoints,
                                   _NODES, _q_exact, _summed_kernel_integrand,
@@ -42,6 +43,44 @@ def test_chebyshev_trig_identity():
             expect = math.sin((n + 1) * theta) / math.sin(theta)
             assert chebyshev_U(n, math.cos(theta)) == pytest.approx(expect,
                                                                     rel=1e-12)
+
+
+def _chebyshev_loop(n, x):
+    """The float recurrence chebyshev_U replaced."""
+    x = min(1.0, max(-1.0, x))
+    if n == 0:
+        return 1.0
+    u0, u1 = 1.0, 2.0 * x
+    for _ in range(n - 1):
+        u0, u1 = u1, 2.0 * x * u1 - u0
+    return u1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 22])
+def test_chebyshev_array_matches_float_loop(n):
+    xs = [-1 - 1e-13, -1.0, -0.7, -0.1, 0.0, 1e-300, 0.3, 0.999, 1.0,
+          1 + 1e-13] + np.linspace(-1.0, 1.0, 101).tolist()
+    want = [_chebyshev_loop(n, x) for x in xs]
+    floats = [chebyshev_U(n, x) for x in xs]
+    assert all(type(v) is float for v in floats)
+    assert floats == want
+    assert chebyshev_U(n, np.array(xs)).tolist() == want
+    with pytest.raises(ValueError):
+        chebyshev_U(n, np.array([0.5, 1.1]))
+
+
+@pytest.mark.parametrize("n", [15, 4000])
+def test_vecdot_is_per_row_dot(n):
+    """adaptive_quadrature (n = 15) and universal_asymptotic (n = 4000)
+    take np.vecdot over rows where they took np.dot of each row."""
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((30000 // n + 100, n))
+    rows *= np.exp(rng.uniform(-20.0, 20.0, rows.shape))
+    weights = (_WK, _WG15) if n == 15 else (np.arange(1.0, n + 1) ** -1.5,)
+    for w in weights:
+        got = np.vecdot(rows, w).tolist()
+        assert got == [float(np.dot(w, r)) for r in rows]
+        assert got == [float(np.dot(r, w)) for r in rows]
 
 
 def test_adaptive_quadrature_known_integrals():
@@ -203,6 +242,43 @@ def test_small_y_closed_form_and_positivity():
             if y <= 0.2:
                 # positive until the linear k=2 term overtakes near y ~ 0.21
                 assert got > 0
+
+
+def _density_loop(cfg, y):
+    """The one-y, one-r-at-a-time loop murmuration_density replaced."""
+    k = cfg.k
+    al = euler_constant("alpha", cfg.pmax).value
+    be = euler_constant("beta", cfg.pmax).value
+    ga = euler_constant("gamma", cfg.pmax).value
+    two_sqrt_y = 2.0 * math.sqrt(y)
+    total = 0.0
+    for r in range(1, int(two_sqrt_y) + 1):
+        rad = 4.0 * y - r * r
+        if rad > 0.0:
+            total += (float(nu(r)) * math.sqrt(rad)
+                      * _chebyshev_loop(k - 2, r / two_sqrt_y))
+    sign = -1.0 if k % 4 == 0 else 1.0
+    value = (al * sign / (k - 1)) * total + (be / (k - 1)) * math.sqrt(y)
+    return value - ga * y if k == 2 else value
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 24])
+def test_array_density_matches_float_loop(k):
+    # every kink 4y = r^2 and its two float neighbours, y -> 0+, and a
+    # spread of y up to the 1e4 of the smoothed averages
+    kinks = [r * r / 4.0 for r in range(1, 41)]
+    ys = (kinks + [math.nextafter(y, 0.0) for y in kinks]
+          + [math.nextafter(y, math.inf) for y in kinks]
+          + [5e-324, 1e-300, 1e-12, 1e-6, 0.01, 0.2499, 0.5, 7.77, 123.4,
+             1e4 / 1.37, 1e4])
+    cfg = DensityConfig(k=k)
+    want = [_density_loop(cfg, y) for y in ys]
+    floats = [murmuration_density(cfg, y) for y in ys]
+    assert all(type(v) is float for v in floats)
+    assert floats == want
+    assert murmuration_density(cfg, np.array(ys)).tolist() == want
+    with pytest.raises(ValueError, match="positive"):
+        murmuration_density(cfg, np.array([1.0, 0.0]))
 
 
 def test_continuity_at_kinks():

@@ -16,7 +16,8 @@ from murmurations.density import DensityConfig, murmuration_density
 from murmurations.density import chebyshev_U
 from murmurations.traceformula import (TraceParams, _average_over, _hurwitz,
                                        dimension_main, dyadic_average,
-                                       interval_average, trace_TpWN)
+                                       interval_average, trace_TpWN,
+                                       window_density)
 
 SIEVE = build_sieve(20000)
 
@@ -212,6 +213,22 @@ def test_interval_average_assembly():
     assert rep.predicted == pytest.approx(
         murmuration_density(DensityConfig(k=k), P / X), rel=1e-12)
     assert rep.residual == pytest.approx(rep.average - rep.predicted)
+
+
+@pytest.mark.parametrize("k, P, X, Y", [(2, 101, 500, 50),
+                                         (4, 1999, 3000, 300),
+                                         (6, 19997, 10000, 1000)])
+def test_window_density_matches_per_level_loop(k, P, X, Y):
+    """One M_k call on every level's P/N, accumulated as the per-level
+    loop it replaced did: equal to the last bit."""
+    cfg = DensityConfig(k=k)
+    num = den = 0.0
+    for N in range(X, X + Y + 1):
+        if N % P and SIEVE.is_squarefree(N):
+            w = float(SIEVE.euler_phi(N))
+            num += w * murmuration_density(cfg, P / N)
+            den += w
+    assert window_density(cfg, P, X, Y) == num / den
 
 
 def test_dyadic_average_window():
