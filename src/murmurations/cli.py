@@ -51,10 +51,14 @@ def _write_csv(path: str | None, header: list[str],
 
 
 def _write_svg(path: str, xs: list[float], ys: list[float]) -> None:
-    """Minimal fixed-viewport polyline plot, no styling dependencies."""
+    """Minimal fixed-viewport polyline plot, no styling dependencies.  Only
+    the finite points are scaled and drawn; with none the line is empty."""
     W, H, pad = 800, 400, 40
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
+    finite = [(x, y) for x, y in zip(xs, ys)
+              if math.isfinite(x) and math.isfinite(y)]
+    xs, ys = [x for x, _ in finite], [y for _, y in finite]
+    xlo, xhi = min(xs, default=0.0), max(xs, default=0.0)
+    ylo, yhi = min(ys, default=0.0), max(ys, default=0.0)
     if xhi == xlo:
         xhi = xlo + 1.0
     if yhi == ylo:

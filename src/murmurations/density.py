@@ -56,16 +56,6 @@ class DensityConfig:
             raise ValueError("k must be even and >= 2")
 
 
-@lru_cache(maxsize=None)
-def _nu_float(r: int) -> float:
-    return float(nu(r))
-
-
-@lru_cache(maxsize=None)
-def _q_exact(d: int) -> Fraction:
-    return Q(d)
-
-
 def _sign(k: int) -> float:
     """(-1)^(k/2 - 1)."""
     return -1.0 if k % 4 == 0 else 1.0
@@ -198,7 +188,7 @@ def murmuration_density(cfg: DensityConfig, y):
     for r in range(1, int(two_sqrt_y.max(initial=0.0)) + 1):
         rad = np.maximum(4.0 * y - r * r, 0.0)
         u = chebyshev_U(k - 2, np.minimum(r / two_sqrt_y, 1.0))
-        total += _nu_float(r) * np.sqrt(rad) * u
+        total += float(nu(r)) * np.sqrt(rad) * u
     value = (al * _sign(k) / (k - 1)) * total + (be / (k - 1)) * np.sqrt(y)
     if k == 2:
         value -= ga * y
@@ -278,7 +268,7 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
     s_q = Fraction(0)
     s_qd = Fraction(0)
     for d in range(1, d0 + 1):
-        q = _q_exact(d)
+        q = Q(d)
         s_q += q
         s_qd += q / d
         if q == 0:
@@ -313,9 +303,10 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
 def _asymptotic_terms() -> tuple[np.ndarray, tuple[float, ...]]:
     """The d <= ASYMPTOTIC_DMAX with Q(d) != 0, as float64, and their
     weights float(Q(d)) * sqrt(d)."""
-    ds = [d for d in range(1, ASYMPTOTIC_DMAX + 1) if _q_exact(d) != 0]
+    qs = {d: Q(d) for d in range(1, ASYMPTOTIC_DMAX + 1)}
+    ds = [d for d, q in qs.items() if q != 0]
     return (np.array(ds, dtype=np.float64),
-            tuple(float(_q_exact(d)) * math.sqrt(d) for d in ds))
+            tuple(float(qs[d]) * math.sqrt(d) for d in ds))
 
 
 def universal_asymptotic(T: float, cfg: DensityConfig) -> float:

@@ -115,11 +115,11 @@ class SignCheckCertificate:
 # The inner profile f and the truncation set's weights and budget
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=2)
 def _s_weights(S: int) -> np.ndarray:
     """s^(-3/2) for s = 1..S, computed in place in slices of
     _WEIGHT_BLOCK on cpu_map's pool; the power is elementwise, so the bits
-    are those of np.arange(1, S + 1.) ** -1.5."""
+    are those of np.arange(1, S + 1.) ** -1.5.  Uncached: grid_verify
+    builds them once per certificate and frees them when it returns."""
     w = np.arange(1, S + 1, dtype=np.float64)
 
     def fill(lo: int) -> None:
@@ -135,7 +135,7 @@ def f_polylog(x: float, S: int) -> tuple[float, float]:
     certified tail bound 2/sqrt(S) for the discarded terms.
 
     Periodic with period 1/2 and maximized in absolute value at x = 0,
-    where it equals -M_max in the limit."""
+    where it equals -M_max in the limit.  Its weights live for one call."""
     if S < 1:
         raise ValueError("S must be >= 1")
     w = _s_weights(S)
@@ -146,7 +146,6 @@ def f_polylog(x: float, S: int) -> tuple[float, float]:
     return float(np.dot(a, w)), 2.0 / math.sqrt(S)
 
 
-@lru_cache(maxsize=8)
 def _weights_for(D: tuple[int, ...]) -> tuple[float, ...]:
     return tuple(float(Q(d)) * math.sqrt(d) for d in D)
 
@@ -170,7 +169,7 @@ def error_budget(D: tuple[int, ...], full_sum_upper: float) -> float:
     """(full_sum_upper - sum_{d in D} Q(d) sqrt(d)) * M_max: a bound on the
     discarded d's contribution at any point, given a certified upper bound
     on the complete sqrt-weighted sum of Q."""
-    inside = math.fsum(_weights_for(tuple(D)))
+    inside = math.fsum(_weights_for(D))
     diff = full_sum_upper - inside
     if diff < 0:
         raise ValueError("upper bound below the in-set sum; not a bound")
@@ -192,11 +191,11 @@ def _offset_fraction(o: float) -> Fraction:
     return Fraction(o).limit_denominator(10 ** 9)
 
 
-def _f_values(xs: list[float], S: int) -> list[float]:
-    """f_polylog(x, S)[0] for every x in xs, bit for bit, on cpu_map's
-    pool: each worker takes whole x's, forming fl(s * 4 pi x) - 3 pi/4 in
-    a phase buffer, its cosines in place and one full-length dot with
-    _s_weights(S).
+def _f_values(xs: list[float], w: np.ndarray) -> list[float]:
+    """f_polylog(x, S)[0] for every x in xs, bit for bit, given the
+    certificate's weights w = _s_weights(S): on cpu_map's pool each worker
+    takes whole x's, forming fl(s * 4 pi x) - 3 pi/4 in a phase buffer,
+    its cosines in place and one full-length dot with w.
 
     The calling thread allocates every S-length array (the shared 1..S
     base and min(CPUs, len(xs), _GRID_BUFFER_BYTES // 8S) phase buffers,
@@ -208,7 +207,7 @@ def _f_values(xs: list[float], S: int) -> list[float]:
 
     if not xs:
         return []
-    w = _s_weights(S)
+    S = len(w)
     base = np.arange(1, S + 1, dtype=np.float64)
     nbuf = min(len(os.sched_getaffinity(0)), len(xs),
                max(1, _GRID_BUFFER_BYTES // (8 * S)))
@@ -238,7 +237,8 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     (taken from its first gridpoint); a non-finite total fails its offset.
     With the offset written o = num/den, (k + o)/d mod 1/2 = r/(2 den d)
     with r = 2(k den + num) mod (den d), so f is evaluated once per
-    distinct lattice point.
+    distinct lattice point, against weights s^(-3/2) built once per
+    certificate and freed when it returns.
 
     Each offset collects its lattice points r/(2 den d) that no earlier
     offset evaluated, evaluates them all at once through _f_values (one
@@ -258,6 +258,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     cert = SignCheckCertificate(period=period(cfg.D), error_budget=budget,
                                 inner_tail=inner_tail, grid=npts)
     ks = np.arange(1, npts + 1, dtype=np.int64)
+    w = _s_weights(cfg.S)
     values: dict[float, float] = {}
     for o in cfg.offsets:
         ofr = _offset_fraction(o)
@@ -270,7 +271,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
                              inv))
         new = list(dict.fromkeys(key for keys, _ in lattices for key in keys
                                  if key not in values))
-        values.update(zip(new, _f_values(new, cfg.S)))
+        values.update(zip(new, _f_values(new, w)))
         total = np.zeros(npts, dtype=np.float64)
         for wd, (keys, inv) in zip(weights, lattices):
             total += wd * np.array([values[key] for key in keys])[inv]

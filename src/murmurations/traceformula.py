@@ -182,6 +182,7 @@ def interval_average(X: int, Y: int, P: int, k: int,
     excluded, against the predicted density M_k(P/X)."""
     if Y >= X:
         raise ValueError("need Y < X")
+    TraceParams(N=1, P=P, k=k)          # checks P and k for an empty window
     return _report("interval", X, float(Y), P, k,
                    _square_free_levels(X, X + Y, P),
                    murmuration_density(DensityConfig(k=k), P / X), table)
@@ -193,6 +194,7 @@ def dyadic_average(X: int, c: float, P: int, k: int,
     dyadic integral of the density."""
     if c <= 1:
         raise ValueError("c must exceed 1")
+    TraceParams(N=1, P=P, k=k)          # checks P and k for an empty window
     return _report("dyadic", X, c, P, k,
                    _square_free_levels(X, int(c * X), P),
                    dyadic_density(c, P / X, DensityConfig(k=k)), table)

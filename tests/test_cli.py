@@ -3,6 +3,7 @@ grid parsing, and a package that runs on numpy alone."""
 
 import ast
 import hashlib
+import math
 import os
 import struct
 import subprocess
@@ -94,6 +95,35 @@ def test_trace_bytes_pinned(args, digest, tmp_path):
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
 
 
+def test_signcheck_bytes_pinned(tmp_path):
+    """The default-D certificate at a cutoff below OpenBLAS's 10,000-element
+    threading threshold, so its bits do not depend on the BLAS thread count:
+    a wrong weight or lattice point fails here."""
+    res = run(["signcheck", "--S", "5000", "--skip-probe"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
+        "300f04b0abf92b0d81650faa22fb87a0fbce46c5b8ada396bea858ac89e94d87"
+
+
+@pytest.mark.parametrize("args", [
+    "trace-average --X 4 --Y 0 --P 9 --k 2",
+    "dyadic-average --X 4 --c 1.1 --P 9 --k 2",
+], ids=["trace", "dyadic"])
+def test_non_prime_P_with_empty_window_exits_2(args, tmp_path):
+    # [4, 4] holds no square-free level, so no per-level check sees P
+    res = run(args.split(), tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [
+        f"murmur {args.split()[0]}: P must be an odd prime"]
+
+
+def test_prime_P_with_empty_window_exits_0(tmp_path):
+    res = run("trace-average --X 4 --Y 0 --P 7 --k 2".split(), tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1].split(",")[:4] == ["4", "4", "7", "2"]
+
+
 @pytest.mark.parametrize("form", ["chebyshev", "bessel", "asymptotic"])
 def test_density_negative_y_exits_2(form, tmp_path):
     res = run(["density", "--form", form, "--k", "2",
@@ -143,6 +173,25 @@ def test_svg_is_pure_view(tmp_path):
     assert plain.read_bytes() == with_svg.read_bytes()
     assert svg.read_text().startswith("<svg")
     assert "polyline" in svg.read_text()
+
+
+def test_svg_draws_only_finite_points(tmp_path):
+    # the asymptotic form is NaN at y = 0; the other two points are drawn
+    svg = tmp_path / "plot.svg"
+    res = run(["density", "--form", "asymptotic", "--k", "2", "--y-grid",
+               "0:1:0.5", "--svg", str(svg)], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1] == "0.0,nan,0.0"
+    text = svg.read_text()
+    assert "nan" not in text
+    points = text.split('points="')[1].split('"')[0]
+    assert len(points.split()) == 2
+
+
+def test_svg_without_finite_points_is_empty(tmp_path):
+    svg = tmp_path / "plot.svg"
+    cli._write_svg(str(svg), [0.0, 1.0], [math.nan, math.inf])
+    assert 'points=""' in svg.read_text()
 
 
 def test_cache_dir_override(tmp_path, monkeypatch):

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations.constants import euler_constant
-from murmurations.multfns import nu
+from murmurations.multfns import Q, nu
 from murmurations.density import (ASYMPTOTIC_DMAX, ASYMPTOTIC_SMAX, MAX_DEPTH,
                                   QUAD_TOL, DensityConfig, _kink_breakpoints,
-                                  _NODES, _q_exact, _summed_kernel_integrand,
+                                  _NODES, _summed_kernel_integrand,
                                   _WG15, _WK, adaptive_quadrature,
                                   bessel_inner_sum, chebyshev_U,
                                   dyadic_closed_form_constants,
@@ -315,7 +315,7 @@ def _per_d_asymptotic(T, cfg):
     sw = s ** -1.5
     total = 0.0
     for d in range(1, ASYMPTOTIC_DMAX + 1):
-        q = _q_exact(d)
+        q = Q(d)
         if q == 0:
             continue
         phases = 4.0 * math.pi * T / d * s - 0.75 * math.pi

@@ -271,7 +271,7 @@ def test_grid_verify_fails_non_finite_total(monkeypatch):
     for value in (math.nan, math.inf, -math.inf):
         seen = []
 
-        def fake(xs, S, value=value):
+        def fake(xs, w, value=value):
             seen.extend(xs)
             return [value if x == 0.25 else -100.0 for x in xs]
 
@@ -286,43 +286,52 @@ def test_grid_verify_fails_non_finite_total(monkeypatch):
 def test_s_weights_match_single_expression(S):
     # filled slice by slice on the pool, with the bits of one power call
     want = np.arange(1, S + 1, dtype=np.float64) ** -1.5
-    assert _s_weights.__wrapped__(S).tobytes() == want.tobytes()
+    assert _s_weights(S).tobytes() == want.tobytes()
 
 
-# Memory guards: the profile's temporaries scale with its output, not S.
+# Memory guards: the profile's temporaries scale with its output, not S,
+# and the S-length weights live only as long as the call that built them.
 
-def _traced_peak_mb(fn):
+def _traced_mb(fn):
+    """(peak, kept): the MB traced at fn's peak and still held after it
+    returns, each above what was held before the call."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        current, peak = tracemalloc.get_traced_memory()
+        return (peak - base) / 2 ** 20, (current - base) / 2 ** 20
     finally:
         tracemalloc.stop()
 
 
 def test_f_grid_memory_independent_of_S():
-    assert _traced_peak_mb(lambda: _f_grid.__wrapped__(12, 2_000_000)) < 1.0
+    peak, _ = _traced_mb(lambda: _f_grid.__wrapped__(12, 2_000_000))
+    assert peak < 1.0
 
 
 def test_f_polylog_one_temporary():
-    _s_weights(10 ** 6)
-    assert _traced_peak_mb(lambda: f_polylog(0.3, 10 ** 6)) < 12.0
+    # its own weights and one phase temporary, and neither survives the call
+    S = 10 ** 6
+    peak, kept = _traced_mb(lambda: f_polylog(0.3, S))
+    assert peak < (2 * 8 * S) / 2 ** 20 + 1.0
+    assert kept < 1.0
 
 
 def test_grid_verify_memory_and_threads():
-    # the calling thread allocates the 1..S base and one phase buffer per
-    # worker, at most two with the CPUs held to two; every worker thread is
-    # gone on return
+    # the calling thread allocates the weights, the 1..S base and one phase
+    # buffer per worker, at most two with the CPUs held to two; no S-length
+    # array and no worker thread is left on return
     S = 500_000
     cfg = SignCheckConfig(D=(2, 3, 5, 7), S=S, offsets=(0.0, 0.162))
-    grid_verify(cfg)                    # budget and weights cached
+    signcheck._certified_budget(cfg.D)  # the Euler-product bound is cached
     cpus = os.sched_getaffinity(0)
     os.sched_setaffinity(0, sorted(cpus)[:2])
     threads = threading.active_count()
     try:
-        peak = _traced_peak_mb(lambda: grid_verify(cfg))
+        peak, kept = _traced_mb(lambda: grid_verify(cfg))
     finally:
         os.sched_setaffinity(0, cpus)
-    assert peak <= (3 * 8 * S) / 2 ** 20 + 1.0
+    assert peak <= (4 * 8 * S) / 2 ** 20 + 1.0
+    assert abs(kept) <= 1.0
     assert threading.active_count() == threads
