@@ -155,11 +155,20 @@ def q_table(T: int) -> np.ndarray:
 
 
 def q_weighted_sums(T: int) -> tuple[float, float, float]:
-    """(sum Q(d), sum Q(d)/d, sum Q(d) sqrt(d)) over d <= T, one pass."""
+    """(sum Q(d), sum Q(d)/d, sum Q(d) sqrt(d)) over d <= T.
+
+    Holds two (T + 1)-length arrays, q and one buffer: the buffer takes d,
+    then Q(d)/d in place, then is refilled with d a block of _BLOCK at a
+    time and takes sqrt(d) Q(d) in place; each sum is one full-array sum."""
     q = q_table(T)
-    d = np.arange(T + 1, dtype=np.float64)
-    d[0] = 1.0
-    return float(q.sum()), float((q / d).sum()), float((q * np.sqrt(d)).sum())
+    buf = np.arange(T + 1, dtype=np.float64)
+    buf[0] = 1.0
+    qd = float(np.divide(q, buf, out=buf).sum())
+    for lo in range(0, T + 1, _BLOCK):   # d = 0 keeps sqrt(0) Q(0) = 0
+        buf[lo:lo + _BLOCK] = np.arange(lo, min(lo + _BLOCK, T + 1))
+    np.sqrt(buf, out=buf)
+    buf *= q
+    return float(q.sum()), qd, float(buf.sum())
 
 
 def qsqrt_product(pmax: int) -> float:

@@ -194,11 +194,13 @@ def _offset_fraction(o: float) -> Fraction:
 def _f_values(xs: list[float], w: np.ndarray) -> list[float]:
     """f_polylog(x, S)[0] for every x in xs, bit for bit, given the
     certificate's weights w = _s_weights(S): on cpu_map's pool each worker
-    takes whole x's, forming fl(s * 4 pi x) - 3 pi/4 in a phase buffer,
-    its cosines in place and one full-length dot with w.
+    takes whole x's, forming fl(s * 4 pi x) - 3 pi/4 in a phase buffer one
+    _WEIGHT_BLOCK of s at a time, its cosines in place and one full-length
+    dot with w.
 
-    The calling thread allocates every S-length array (the shared 1..S
-    base and min(CPUs, len(xs), _GRID_BUFFER_BYTES // 8S) phase buffers,
+    Besides w it holds min(CPUs, len(xs), _GRID_BUFFER_BYTES // 8S)
+    S-length phase buffers and one block-length base 1..min(S,
+    _WEIGHT_BLOCK), all allocated by the calling thread (the buffers are
     handed out through a queue), so no worker's malloc arena keeps an
     S-length block after the call.  Workers run numpy only.
     """
@@ -208,7 +210,7 @@ def _f_values(xs: list[float], w: np.ndarray) -> list[float]:
     if not xs:
         return []
     S = len(w)
-    base = np.arange(1, S + 1, dtype=np.float64)
+    base = np.arange(1, min(S, _WEIGHT_BLOCK) + 1, dtype=np.float64)
     nbuf = min(len(os.sched_getaffinity(0)), len(xs),
                max(1, _GRID_BUFFER_BYTES // (8 * S)))
     free: queue.SimpleQueue[np.ndarray] = queue.SimpleQueue()
@@ -218,8 +220,11 @@ def _f_values(xs: list[float], w: np.ndarray) -> list[float]:
     def f(x: float) -> float:
         a = free.get()
         try:
-            np.multiply(base, 4.0 * math.pi * x, out=a)
-            a -= 0.75 * math.pi
+            for lo in range(0, S, _WEIGHT_BLOCK):
+                block = a[lo:lo + _WEIGHT_BLOCK]
+                np.add(base[:block.size], lo, out=block)
+                block *= 4.0 * math.pi * x
+                block -= 0.75 * math.pi
             np.cos(a, out=a)
             return float(np.dot(a, w))
         finally:
@@ -238,7 +243,9 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     With the offset written o = num/den, (k + o)/d mod 1/2 = r/(2 den d)
     with r = 2(k den + num) mod (den d), so f is evaluated once per
     distinct lattice point, against weights s^(-3/2) built once per
-    certificate and freed when it returns.
+    certificate and freed when it returns.  Its S-length arrays are those
+    weights and one phase buffer per worker (see _f_values); the rest is
+    O(period * len(D)) lattice bookkeeping.
 
     Each offset collects its lattice points r/(2 den d) that no earlier
     offset evaluated, evaluates them all at once through _f_values (one
@@ -292,37 +299,56 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
 
 @lru_cache(maxsize=1)
 def _f_grid(log2_size: int = 21, S: int = 2 * 10 ** 7
-            ) -> tuple[np.ndarray, np.ndarray, float]:
+            ) -> tuple[np.ndarray, float]:
     """f sampled at M = 2^log2_size equispaced points of its period [0, 1/2)
     by folding the series coefficients mod M through a single FFT.
 
-    Returns (the interpolation grid 0..M, the M samples followed by the wrap
-    point f(1/2) = f(0), series tail bound 2/sqrt(S)).  The fold adds one
-    M-length block of s^(-3/2) at a time, so memory is O(M) whatever S is.
-    Linear interpolation between samples adds a small non-certified error
-    concentrated at the half-integer cusps; probes using this grid are
-    reported, not certified.
+    Returns (the M samples followed by the wrap point f(1/2) = f(0), series
+    tail bound 2/sqrt(S)); the table's index is the abscissa.  The fold
+    adds s^(-3/2) into the real part of one complex M-length buffer, split
+    by coefficient index into _WEIGHT_BLOCK ranges on cpu_map's pool: each
+    worker adds its range's blocks in ascending s through one block-length
+    temporary, so memory is O(M) whatever S is.  The inverse FFT and its
+    scaling run in place in that buffer; the cached table holds only its
+    real part.  Linear interpolation between samples adds a small
+    non-certified error concentrated at the half-integer cusps; probes
+    using this grid are reported, not certified.
     """
     m = 1 << log2_size
-    coef = np.zeros(m, dtype=np.float64)
-    for lo in range(0, S + 1, m):
-        start, stop = max(lo, 1), min(lo + m, S + 1)
-        coef[start - lo:stop - lo] += np.arange(start, stop,
-                                                dtype=np.float64) ** -1.5
-    spectrum = np.fft.ifft(coef)
-    spectrum *= m
-    spectrum *= complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
+    coef = np.zeros(m, dtype=np.complex128)
+    base = np.arange(min(m, _WEIGHT_BLOCK), dtype=np.float64)
+
+    def fold(lo: int) -> None:
+        t = np.empty_like(base)
+        for top in range(0, S + 1 - lo, m):
+            start = max(top + lo, 1)
+            stop = min(top + lo + _WEIGHT_BLOCK, top + m, S + 1)
+            u = t[:stop - start]
+            np.add(base[:u.size], start, out=u)
+            u **= -1.5
+            coef.real[start - top:stop - top] += u
+
+    cpu_map(fold, range(0, m, _WEIGHT_BLOCK))
+    np.fft.ifft(coef, out=coef)
+    coef *= m
+    coef *= complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
     table = np.empty(m + 1, dtype=np.float64)
-    table[:m] = spectrum.real
+    table[:m] = coef.real
     table[m] = table[0]
-    return np.arange(m + 1, dtype=np.float64), table, 2.0 / math.sqrt(S)
+    return table, 2.0 / math.sqrt(S)
 
 
 def f_interpolated(x: np.ndarray) -> np.ndarray:
-    """Approximate f at arbitrary points from the FFT-sampled period."""
-    grid, table, _ = _f_grid()
-    pos = np.mod(np.asarray(x, dtype=np.float64), 0.5) * (2 * (grid.size - 1))
-    return np.interp(pos, grid, table)
+    """Approximate f at arbitrary points from the FFT-sampled period, with
+    the bits of np.interp on the abscissae 0..M: (t[j+1] - t[j])(pos - j)
+    + t[j] between nodes, t[j] on a node and t[M] at pos = M, and NaN where
+    x is not finite.  Holds only temporaries the size of x besides the
+    cached table."""
+    table, _ = _f_grid()
+    pos = np.mod(np.asarray(x, dtype=np.float64), 0.5) * (2 * (table.size - 1))
+    j = np.nan_to_num(pos).astype(np.intp)     # a NaN pos stays NaN below
+    lo, hi = table[j], table.take(j + 1, mode="clip")
+    return np.where(pos == j, lo, (hi - lo) * (pos - j) + lo)
 
 
 @dataclass

@@ -105,6 +105,16 @@ def test_signcheck_bytes_pinned(tmp_path):
         "300f04b0abf92b0d81650faa22fb87a0fbce46c5b8ada396bea858ac89e94d87"
 
 
+def test_signcheck_with_probe_bytes_pinned(tmp_path):
+    """The same cutoff at offset 0 with the second-peak probe, so the
+    FFT-sampled profile and its interpolation are pinned end to end (the
+    digest is the same with one BLAS thread and with the default)."""
+    res = run(["signcheck", "--S", "5000", "--offsets", "0"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
+        "c3af666eb4ef3a74fe2f47f9a3924f80cc23964cbfe5a67e65c686f77487239c"
+
+
 @pytest.mark.parametrize("args", [
     "trace-average --X 4 --Y 0 --P 9 --k 2",
     "dyadic-average --X 4 --c 1.1 --P 9 --k 2",

@@ -117,6 +117,29 @@ def test_q_table_matches_per_prime_loop(T):
     assert q_table(T).tobytes() == _q_table_per_prime(T).tobytes()
 
 
+@pytest.mark.parametrize("T", [0, 1, 60, 8191, 8193, 10 ** 5 + 7, 10 ** 6])
+def test_q_weighted_sums_match_full_length_expressions(T):
+    # the earlier four-array expressions are the oracle, bit for bit
+    q = q_table(T)
+    d = np.arange(T + 1, dtype=np.float64)
+    d[0] = 1.0
+    want = (float(q.sum()), float((q / d).sum()),
+            float((q * np.sqrt(d)).sum()))
+    assert [v.hex() for v in q_weighted_sums(T)] == [v.hex() for v in want]
+
+
+def test_q_weighted_sums_holds_two_arrays():
+    T = 10 ** 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q_weighted_sums(T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * (T + 1) + 2 * 2 ** 20
+
+
 def test_qcount_routes_agree():
     exact = sum(Q(d) for d in range(1, 61))
     assert q_weighted_sums(60)[0] == pytest.approx(float(exact), rel=1e-13)

@@ -179,18 +179,20 @@ def test_second_peak_probe_against_polylog_oracle():
 
 @pytest.mark.parametrize("log2_size,S", [(4, 10), (4, 16), (4, 17),
                                          (10, 5000), (12, 3 * 4096),
-                                         (12, 3 * 4096 + 1)])
+                                         (12, 3 * 4096 + 1),
+                                         (19, 3 * 2 ** 19 + 5)])
 def test_streamed_fold_matches_add_at(log2_size, S):
+    # (19, ...) splits the index range over workers in two _WEIGHT_BLOCKs
+    # and ends on a partial block
     m = 1 << log2_size
     s = np.arange(1, S + 1, dtype=np.int64)
     coef = np.zeros(m, dtype=np.float64)
     np.add.at(coef, (s % m), s.astype(np.float64) ** -1.5)
     phase = complex(math.cos(-0.75 * math.pi), math.sin(-0.75 * math.pi))
     samples = np.real(phase * (np.fft.ifft(coef) * m))
-    grid, table, tail = _f_grid.__wrapped__(log2_size, S)
+    table, tail = _f_grid.__wrapped__(log2_size, S)
     assert table[:m].tobytes() == samples.tobytes()
     assert table[m] == table[0]
-    assert grid.tobytes() == np.arange(m + 1, dtype=np.float64).tobytes()
     assert tail == 2.0 / math.sqrt(S)
 
 
@@ -204,14 +206,20 @@ def test_f_polylog_matches_single_expression():
 
 
 def test_f_interpolated_matches_fresh_table():
-    _, table, _ = _f_grid()
+    # np.interp on the abscissae 0..M is the oracle; the edge points hit
+    # nodes exactly, and x = -1e-20 is where np.mod rounds to 1/2 (pos = M)
+    table, _ = _f_grid()
     m = table.size - 1
     samples = table[:m].copy()
-    xs = np.linspace(-3.0, 7.0, 20001)
+    xs = np.concatenate([np.linspace(-3.0, 7.0, 20001),
+                         np.arange(-8, 9) / 4, np.arange(64) / (2 * m),
+                         [-1e-20, 1e-20, -0.0, np.nextafter(0.5, 0.0)]])
     pos = np.mod(xs, 0.5) * (2 * m)
     want = np.interp(pos, np.arange(m + 1, dtype=np.float64),
                      np.concatenate([samples, samples[:1]]))
     assert f_interpolated(xs).tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore"):     # np.mod(inf, 0.5) is NaN
+        assert np.isnan(f_interpolated(np.array([np.nan, np.inf, -np.inf]))).all()
 
 
 def _grid_verify_fraction_loop(cfg):
@@ -282,6 +290,16 @@ def test_grid_verify_fails_non_finite_total(monkeypatch):
         assert ok.passed and not bad.passed, value
 
 
+@pytest.mark.parametrize("S", [signcheck._WEIGHT_BLOCK - 1,
+                               signcheck._WEIGHT_BLOCK + 1,
+                               2 * signcheck._WEIGHT_BLOCK + 5])
+def test_f_values_match_f_polylog_across_blocks(S):
+    # the phase buffer is filled one _WEIGHT_BLOCK of s at a time
+    xs = [0.0, 1 / 3, 0.162, 0.25, 0.4999, 1e-9]
+    assert signcheck._f_values(xs, _s_weights(S)) == \
+        [f_polylog(x, S)[0] for x in xs]
+
+
 @pytest.mark.parametrize("S", [1, 2, 3, 7, 100_001])
 def test_s_weights_match_single_expression(S):
     # filled slice by slice on the pool, with the bits of one power call
@@ -310,6 +328,16 @@ def test_f_grid_memory_independent_of_S():
     assert peak < 1.0
 
 
+def test_f_grid_one_complex_buffer():
+    # the complex M-length fold/FFT buffer plus two block-length float
+    # arrays: the shared base with one worker's temporary during the fold,
+    # with the table (one block long at this M) after the FFT
+    m = 1 << 18
+    peak, _ = _traced_mb(lambda: _f_grid.__wrapped__(18, 3 * m + 5))
+    block = min(m, signcheck._WEIGHT_BLOCK)
+    assert peak < (16 * m + 2 * 8 * block) / 2 ** 20 + 1.0
+
+
 def test_f_polylog_one_temporary():
     # its own weights and one phase temporary, and neither survives the call
     S = 10 ** 6
@@ -319,9 +347,9 @@ def test_f_polylog_one_temporary():
 
 
 def test_grid_verify_memory_and_threads():
-    # the calling thread allocates the weights, the 1..S base and one phase
-    # buffer per worker, at most two with the CPUs held to two; no S-length
-    # array and no worker thread is left on return
+    # the calling thread allocates the weights, one phase buffer per worker
+    # (at most two with the CPUs held to two) and a block-length base; no
+    # S-length array and no worker thread is left on return
     S = 500_000
     cfg = SignCheckConfig(D=(2, 3, 5, 7), S=S, offsets=(0.0, 0.162))
     signcheck._certified_budget(cfg.D)  # the Euler-product bound is cached
@@ -332,6 +360,6 @@ def test_grid_verify_memory_and_threads():
         peak, kept = _traced_mb(lambda: grid_verify(cfg))
     finally:
         os.sched_setaffinity(0, cpus)
-    assert peak <= (4 * 8 * S) / 2 ** 20 + 1.0
+    assert peak <= (3 * 8 * S + 8 * signcheck._WEIGHT_BLOCK) / 2 ** 20 + 1.0
     assert abs(kept) <= 1.0
     assert threading.active_count() == threads
