@@ -12,7 +12,7 @@ from murmurations.signcheck import (PROBE_INTERVAL, SignCheckConfig,
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--S", type=int, default=4_010_000)
+    ap.add_argument("--S", type=int, default=SignCheckConfig.S)
     ap.add_argument("--skip-probe", action="store_true")
     args = ap.parse_args()
 

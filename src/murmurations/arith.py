@@ -251,36 +251,26 @@ def shared_sieve(limit: int = 200_000) -> FactorSieve:
 # Square-free counting and summatory functions
 # ---------------------------------------------------------------------------
 
-def squarefree_flags(Z: int) -> bytearray:
-    """flags[n] = 1 iff n is square-free, for 0 <= n <= Z (flags[0] = 0)."""
-    flags = bytearray([1]) * (Z + 1)
-    flags[0] = 0
-    for p in primes_upto(math.isqrt(Z)).tolist():
-        p2 = p * p
-        flags[p2::p2] = bytes(len(range(p2, Z + 1, p2)))
-    return flags
-
-
 def sum_mu2_phi(Z: int) -> int:
     """Exact Sum_{n <= Z} mu(n)^2 phi(n).
 
     Main term Z^2/(2 zeta(2)) * prod_p (1 - 1/(p^2+p)); the exact value is
-    used to probe that asymptotic.
+    used to probe that asymptotic.  Each n is factored by walking the
+    shared sieve's spf, which stops at the first repeated prime, so
+    square-full n drop out without a separate square-free sieve.
     """
-    flags = squarefree_flags(Z)
-    # phi over square-free n only, via a divide-out sieve kept exact.
     total = 0
     spf = shared_sieve(Z).spf
     for n in range(1, Z + 1):
-        if not flags[n]:
-            continue
         m, phi = n, n
         while m > 1:
             p = spf[m]
+            m //= p
+            if m % p == 0:
+                break
             phi -= phi // p
-            while m % p == 0:
-                m //= p
-        total += phi
+        else:
+            total += phi
     return total
 
 

@@ -25,8 +25,20 @@ from .density import (DensityConfig, dyadic_closed_form_constants,
                       universal_asymptotic)
 from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, \
     smooth_square_gs, theta, theta_bruteforce
-from .signcheck import SignCheckConfig, grid_verify, second_peak_probe
+from .signcheck import DEFAULT_OFFSETS, SignCheckConfig, grid_verify, \
+    second_peak_probe
 from .traceformula import TraceReport, dyadic_average, interval_average
+
+# verify-constants truncates its Euler products at the density's prime bound.
+PMAX = DensityConfig.pmax
+
+# The smallest d of every class-number table sieve-classnumbers writes; it
+# is part of the default table file name hurwitz_3_<dmax>.murh1.
+TABLE_DMIN = 3
+
+# verify-multfns compares theta_r(m) with its brute force for r <= RMAX,
+# m <= MMAX, and phi_circ for r, d <= DMAX and square g <= GMAX.
+RMAX, MMAX, DMAX, GMAX = 12, 200, 12, 1000
 
 
 def cache_dir() -> Path:
@@ -97,7 +109,7 @@ def _parse_grid(spec: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _cmd_sieve_classnumbers(args: argparse.Namespace) -> int:
-    table = hurwitz_sieve(args.dmin, args.dmax)
+    table = hurwitz_sieve(TABLE_DMIN, args.dmax)
     path = Path(args.hurwitz_cache) if args.hurwitz_cache else (
         cache_dir() / f"hurwitz_{table.dmin}_{table.dmax}.murh1")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -131,8 +143,8 @@ def _cmd_dyadic_average(args: argparse.Namespace) -> int:
     if not math.isfinite(args.c):
         raise SystemExit(f"--c must be finite, got {args.c}")
     table = load_table(args.hurwitz_cache) if args.hurwitz_cache else None
-    _write_average(args, int(args.c * args.X),
-                   dyadic_average(args.X, args.c, args.P, args.k, table))
+    report = dyadic_average(args.X, args.c, args.P, args.k, table)
+    _write_average(args, int(args.c * args.X), report)
     return 0
 
 
@@ -140,7 +152,7 @@ def _cmd_density(args: argparse.Namespace) -> int:
     ys = _parse_grid(args.y_grid)
     if ys[0] < 0.0:
         raise ValueError("y must be positive")
-    cfg = DensityConfig(k=args.k, pmax=args.pmax)
+    cfg = DensityConfig(k=args.k)
     rows: list[list[object]] = []
     if ys[0] == 0.0:
         # continuous limit at the origin; no asymptotic value there
@@ -186,7 +198,7 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
     rows: list[list[object]] = []
     vals = {}
     for kind in ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta"):
-        ev = euler_constant(kind, args.pmax)
+        ev = euler_constant(kind, PMAX)
         vals[kind] = ev.value
         rows.append(["constant", kind, ev.value, ev.pmax, ev.tail_bound])
     qsum, qdsum, _ = q_weighted_sums(10 ** 6)
@@ -196,10 +208,10 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
     rows.append(["identity", "sum_Q_vs_beta_over_alpha", r1, 10 ** 6, 1e-5])
     rows.append(["identity", "sum_Q_over_d_vs_inv_pi", r2, 10 ** 6, 1e-5])
     rows.append(["identity", "qsqrt_partial_product", r3, 10 ** 6, 1e-3])
-    a, b, c = dyadic_closed_form_constants(args.pmax)
-    rows.append(["derived", "dyadic_a", a, args.pmax, math.nan])
-    rows.append(["derived", "dyadic_b", b, args.pmax, math.nan])
-    rows.append(["derived", "dyadic_c", c, args.pmax, math.nan])
+    a, b, c = dyadic_closed_form_constants(PMAX)
+    rows.append(["derived", "dyadic_a", a, PMAX, math.nan])
+    rows.append(["derived", "dyadic_b", b, PMAX, math.nan])
+    rows.append(["derived", "dyadic_c", c, PMAX, math.nan])
     _write_csv(args.out, ["kind", "name", "value", "pmax", "tolerance"], rows)
     ok = r1 <= 1e-5 and r2 <= 1e-5 and r3 <= 1e-3
     return 0 if ok else 1
@@ -209,22 +221,22 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
     rows: list[list[object]] = []
     ok = True
     for P in (5, 7, 11, 101):
-        for r in range(1, args.rmax + 1):
-            for m in range(1, args.mmax + 1):
+        for r in range(1, RMAX + 1):
+            for m in range(1, MMAX + 1):
                 if m % P == 0 or m % 4 == 2 or (m % 8 == 4):
                     continue
                 good = theta(r, m, P) == theta_bruteforce(r, m, P)
                 ok &= good
                 if not good:
                     rows.append(["theta", r, m, P, "fail"])
-    rows.append(["theta", args.rmax, args.mmax, 0,
+    rows.append(["theta", RMAX, MMAX, 0,
                  "pass" if ok else "fail"])
     phi_ok = True
-    for r in range(1, args.dmax + 1):
-        for d in range(1, args.dmax + 1):
+    for r in range(1, DMAX + 1):
+        for d in range(1, DMAX + 1):
             if not is_admissible(r, d):
                 continue
-            for g in smooth_square_gs(d, args.gmax):
+            for g in smooth_square_gs(d, GMAX):
                 if g % 8 == 4:
                     continue  # g is a square: v_2(g) = 2 is outside the domain
                 for P in (7, 11):
@@ -236,7 +248,7 @@ def _cmd_verify_multfns(args: argparse.Namespace) -> int:
                     phi_ok &= good
                     if not good:
                         rows.append(["phi_circ", r, d, g, "fail"])
-    rows.append(["phi_circ", args.dmax, args.dmax, args.gmax,
+    rows.append(["phi_circ", DMAX, DMAX, GMAX,
                  "pass" if phi_ok else "fail"])
     _write_csv(args.out, ["function", "r", "m_or_d", "P_or_g", "verdict"],
                rows)
@@ -260,11 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sieve-classnumbers",
                        help="build and cache the weighted class-number table")
-    s.add_argument("--dmin", type=int, default=3)
     s.add_argument("--dmax", type=int, required=True)
     s.add_argument("--hurwitz-cache",
                    help="cache file path (MURH1 version 2: a header, then "
-                        "6 H_1(-d) as raw int32 for d = dmin..dmax)")
+                        "6 H_1(-d) as raw int32 for d = 3..dmax)")
     s.add_argument("--out", help="summary CSV path (default stdout)")
     s.set_defaults(func=_cmd_sieve_classnumbers)
 
@@ -297,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--y-grid", required=True, metavar="START:STOP:STEP")
     s.add_argument("--form", choices=("chebyshev", "bessel", "asymptotic"),
                    default="chebyshev")
-    s.add_argument("--pmax", type=int, default=10 ** 6)
     s.add_argument("--out")
     s.add_argument("--svg", help="also write a polyline plot")
     s.set_defaults(func=_cmd_density)
@@ -305,8 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("signcheck",
                        help="one-period sign certification and second-peak "
                             "probe; CSV of worst margins per offset")
-    s.add_argument("--offsets", default="0,0.5,0.162")
-    s.add_argument("--S", type=int, default=4_010_000)
+    s.add_argument("--offsets",
+                   default=",".join(map(str, DEFAULT_OFFSETS)))
+    s.add_argument("--S", type=int, default=SignCheckConfig.S)
     s.add_argument("--skip-probe", action="store_true")
     s.add_argument("--report", help="CSV path (default stdout)")
     s.set_defaults(func=_cmd_signcheck)
@@ -314,16 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify-constants",
                        help="Euler-product constants, tail bounds, and "
                             "identity residuals as CSV")
-    s.add_argument("--pmax", type=int, default=10 ** 6)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_verify_constants)
 
     s = sub.add_parser("verify-multfns",
                        help="closed forms vs brute-force character sums")
-    s.add_argument("--rmax", type=int, default=12)
-    s.add_argument("--mmax", type=int, default=200)
-    s.add_argument("--dmax", type=int, default=12)
-    s.add_argument("--gmax", type=int, default=1000)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_verify_multfns)
     return p

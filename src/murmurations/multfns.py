@@ -65,20 +65,16 @@ def _residues(r: int, d: int, P: int) -> tuple[int, ...]:
     return tuple(sorted({t1, t2}))
 
 
-def remainder_set(r: int, d: int, P: int, *,
-                  enforce_regime: bool = True) -> RemainderSet:
+def remainder_set(r: int, d: int, P: int) -> RemainderSet:
     """The residue set mod d^2, per the parity/gcd case analysis.
 
-    enforce_regime checks d^2 <= 4P (the range in which these sets feed the
-    trace average); the combinatorial definition itself only needs P an odd
-    prime not dividing d.
+    Defined for any d once P is an odd prime not dividing d; the brute
+    force phi_circ_bruteforce sums over these sets, also past d^2 <= 4P.
     """
     if P < 3 or P % 2 == 0:
         raise ValueError("P must be an odd prime")
     if d % P == 0:
         raise ValueError("P must not divide d")
-    if enforce_regime and d * d > 4 * P:
-        raise ValueError("outside the regime d^2 <= 4P")
     res = _residues(r, d, P)
     if m := d:  # residues must be coprime to d
         assert all(math.gcd(t, m) == 1 or m == 1 for t in res)
@@ -179,7 +175,7 @@ def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
     _check_v2(g, "g")
     if not _g_divides_d_infinity(g, d):
         raise ValueError("g must divide a power of d")
-    rs = remainder_set(r, d, P, enforce_regime=False)
+    rs = remainder_set(r, d, P)
     if not rs.admissible:
         return 0
     d2 = d * d

@@ -42,11 +42,15 @@ REFERENCE_QSQRT_BOUND = 3.0907 + 0.00004
 PROBE_INTERVAL = (15014.5, 15015.0)
 PROBE_POINTS = 2001
 
+# third_sign_change_fraction samples each [k + 1/2, k + 1] at this many
+# equispaced points, ends included.
+THIRD_CHANGE_SAMPLES = 8
+
 # grid_verify's phase buffers, one per worker, together take at most this
 # many bytes (but always at least one buffer).
 _GRID_BUFFER_BYTES = 128 * 2 ** 20
 
-# Elements of s^(-3/2) per _s_weights task.
+# Elements of s per block in _f_values' phase fill and _f_grid's fold.
 _WEIGHT_BLOCK = 1 << 18
 
 
@@ -116,18 +120,13 @@ class SignCheckCertificate:
 # ---------------------------------------------------------------------------
 
 def _s_weights(S: int) -> np.ndarray:
-    """s^(-3/2) for s = 1..S, computed in place in slices of
-    _WEIGHT_BLOCK on cpu_map's pool; the power is elementwise, so the bits
-    are those of np.arange(1, S + 1.) ** -1.5.  Uncached: grid_verify
-    builds them once per certificate and frees them when it returns."""
+    """s^(-3/2) for s = 1..S in one S-length array, the power taken in
+    place, so the bits are those of np.arange(1, S + 1.) ** -1.5.  Serial:
+    on two CPUs cpu_map's pool saved 2-4 ms of a certificate that takes
+    over a second at S = 4.01e6.  Uncached: grid_verify builds them once
+    per certificate and frees them when it returns."""
     w = np.arange(1, S + 1, dtype=np.float64)
-
-    def fill(lo: int) -> None:
-        block = w[lo:lo + _WEIGHT_BLOCK]
-        np.power(block, -1.5, out=block)
-
-    cpu_map(fill, range(0, S, _WEIGHT_BLOCK))
-    return w
+    return np.power(w, -1.5, out=w)
 
 
 def f_polylog(x: float, S: int) -> tuple[float, float]:
@@ -393,16 +392,16 @@ def second_peak_probe(dmax: int = 5000) -> SecondPeakReport:
                             argmax=float(ts[i]), error_bound=err)
 
 
-def third_sign_change_fraction(cfg: SignCheckConfig,
-                               samples_per_half: int = 8) -> float:
+def third_sign_change_fraction(cfg: SignCheckConfig) -> float:
     """Observed fraction of integer gridpoints k in one period for which
-    the truncated profile exceeds the error budget somewhere on
-    [k + 1/2, k + 1] (an uncertified probe via the interpolated f)."""
+    the truncated profile exceeds the error budget at one of
+    THIRD_CHANGE_SAMPLES equispaced points of [k + 1/2, k + 1] (an
+    uncertified probe via the interpolated f)."""
     budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
     weights = _weights_for(cfg.D)
     ks = np.arange(1, npts + 1, dtype=np.float64)[:, None]
-    us = np.linspace(0.5, 1.0, samples_per_half)[None, :]
+    us = np.linspace(0.5, 1.0, THIRD_CHANGE_SAMPLES)[None, :]
     ts = ks + us
     vals = np.zeros_like(ts)
     for d, wd in zip(cfg.D, weights):

@@ -153,7 +153,8 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
     each weighted by phi(N) as the dimension main term weights its trace.
 
     Unlike the pointwise M_k(P/X), this carries no O(Y/X) drift across
-    the window.
+    the window.  NaN when the window holds no level, as the average of
+    interval_average is then.
     """
     levels = _square_free_levels(X, X + Y, P)
     dens = murmuration_density(cfg, [P / N for N in levels]).tolist()
@@ -162,7 +163,7 @@ def window_density(cfg: DensityConfig, P: int, X: int, Y: int) -> float:
         w = float(shared_sieve().euler_phi(N))
         num += w * m
         den += w
-    return num / den
+    return num / den if den else math.nan
 
 
 def _report(kind: str, X: int, span: float, P: int, k: int,
@@ -191,9 +192,11 @@ def interval_average(X: int, Y: int, P: int, k: int,
 def dyadic_average(X: int, c: float, P: int, k: int,
                    table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, cX], against the
-    dyadic integral of the density."""
+    dyadic integral of the density.  c X must be finite."""
     if c <= 1:
         raise ValueError("c must exceed 1")
+    if not math.isfinite(c * X):
+        raise ValueError(f"c X must be finite, got {c * X}")
     TraceParams(N=1, P=P, k=k)          # checks P and k for an empty window
     return _report("dyadic", X, c, P, k,
                    _square_free_levels(X, int(c * X), P),

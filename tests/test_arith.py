@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from murmurations import arith
 from murmurations.arith import (build_sieve, is_prime, kronecker,
-                                primes_upto, shared_sieve, squarefree_flags,
+                                primes_upto, shared_sieve,
                                 squarefree_in_class_count, sum_mu2_phi)
 
 SIEVE = build_sieve(100000)
@@ -119,12 +119,6 @@ def test_phi_matches_sympy(n):
 @given(st.integers(1, 99999))
 def test_squarefree_flag_consistent(n):
     assert SIEVE.is_squarefree(n) == (sympy.mobius(n) != 0)
-
-
-def test_squarefree_flags_bulk():
-    flags = squarefree_flags(5000)
-    for n in range(1, 5001):
-        assert bool(flags[n]) == SIEVE.is_squarefree(n)
 
 
 # -- square-free counting sums ----------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from murmurations import cli
+from murmurations.classnumbers import hurwitz_sieve, save_table
 
 
 def run(args, tmp_path, env_extra=None):
@@ -47,6 +48,16 @@ def test_non_finite_dyadic_c_exits_2(tmp_path):
     assert res.stderr.strip().splitlines() == ["--c must be finite, got inf"]
 
 
+def test_overflowing_dyadic_window_exits_2(tmp_path):
+    # c is finite but c X is not: the report's check runs before N_high
+    res = run(["dyadic-average", "--X", "10", "--c", "1e308", "--P", "7",
+               "--k", "2"], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_constants_bytes_pinned(tmp_path):
     """The stdout digest the benchmark's reference records for every
     density-verify seed: a change that moves a last bit fails here."""
@@ -54,6 +65,14 @@ def test_verify_constants_bytes_pinned(tmp_path):
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
         "a81f429f8a4b5ea23a72bb0843830f6239e5fd93a26ea50456cb93c2a3f6dd1f"
+
+
+def test_verify_multfns_bytes_pinned(tmp_path):
+    """verify-multfns at its fixed ranges: exit 0 and the same bytes."""
+    res = run(["verify-multfns"], tmp_path)
+    assert res.returncode == 0
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
+        "3d0b2b7b905b762dcda5e0c5ea5f08deb01c3db4089f2b3e96b7cbc7b38a4456"
 
 
 @pytest.mark.parametrize("form, k, grid, digest", [
@@ -243,19 +262,12 @@ def test_trace_average_with_covering_cache(tmp_path):
     assert cached.stdout == plain.stdout
 
 
-def test_verify_multfns_small(tmp_path):
-    res = run(["verify-multfns", "--rmax", "3", "--mmax", "30",
-               "--dmax", "5", "--gmax", "50"], tmp_path)
-    assert res.returncode == 0
-    assert "pass" in res.stdout
-
-
 def test_verify_multfns_skips_P_dividing_d(tmp_path):
-    # d = 7 meets P = 7, where the brute-force sum is undefined
-    res = run(["verify-multfns", "--rmax", "3", "--mmax", "30",
-               "--dmax", "7", "--gmax", "50"], tmp_path)
+    # d = 7 and 11 meet P = 7 and 11, where the brute-force sum is undefined
+    res = run(["verify-multfns"], tmp_path)
     assert res.returncode == 0, res.stderr
-    assert "phi_circ,7,7,50,pass" in res.stdout.splitlines()
+    assert res.stdout.splitlines()[1:] == ["theta,12,200,0,pass",
+                                           "phi_circ,12,12,1000,pass"]
 
 
 def test_truncated_cache_exits_2(tmp_path):
@@ -294,8 +306,7 @@ def test_missing_cache_exits_2(tmp_path):
 def test_cache_above_dmin_3_falls_back(tmp_path):
     # the table serves d >= 100; the smaller d are computed, silently
     cache = tmp_path / "h.murh1"
-    assert run(["sieve-classnumbers", "--dmin", "100", "--dmax", "3000",
-                "--hurwitz-cache", str(cache)], tmp_path).returncode == 0
+    save_table(hurwitz_sieve(100, 3000), str(cache))
     args = ["trace-average", "--X", "10", "--Y", "4", "--P", "7", "--k", "2"]
     plain = run(args, tmp_path)
     cached = run(args + ["--hurwitz-cache", str(cache)], tmp_path)
@@ -311,8 +322,7 @@ def test_verify_multfns_other_value_error_exits_2(monkeypatch, capsys):
         raise ValueError("unexpected")
 
     monkeypatch.setattr(cli, "phi_circ", boom)
-    assert cli.main(["verify-multfns", "--rmax", "1", "--mmax", "3",
-                     "--dmax", "3", "--gmax", "10"]) == 2
+    assert cli.main(["verify-multfns"]) == 2
     assert "unexpected" in capsys.readouterr().err
 
 

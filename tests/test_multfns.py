@@ -112,7 +112,7 @@ def test_remainder_sets_solve_congruence():
             for d in range(1, 25):
                 if d % P == 0:
                     continue
-                rs = remainder_set(r, d, P, enforce_regime=False)
+                rs = remainder_set(r, d, P)
                 assert rs.admissible == is_admissible(r, d)
                 for t in rs.residues:
                     assert (r * r * t - 4 * P) % (d * d) == 0
@@ -125,7 +125,7 @@ def test_two_remainders_have_opposite_s_parity():
             for d in range(1, 25):
                 if d % P == 0:
                     continue
-                rs = remainder_set(r, d, P, enforce_regime=False)
+                rs = remainder_set(r, d, P)
                 if len(rs.residues) != 2:
                     continue
                 seen += 1
@@ -135,11 +135,13 @@ def test_two_remainders_have_opposite_s_parity():
     assert seen > 50
 
 
-def test_remainder_set_regime_guard():
-    with pytest.raises(ValueError):
-        remainder_set(2, 12, 7)
-    with pytest.raises(ValueError):
+def test_remainder_set_domain_checks():
+    with pytest.raises(ValueError, match="odd prime"):
         remainder_set(1, 1, 4)
+    with pytest.raises(ValueError, match="must not divide"):
+        remainder_set(1, 14, 7)
+    # no d^2 <= 4P guard: the brute force sums past that regime
+    assert remainder_set(2, 12, 7).admissible == is_admissible(2, 12)
 
 
 # -- Q, nu and the partial triple sum ---------------------------------------

@@ -302,7 +302,7 @@ def test_f_values_match_f_polylog_across_blocks(S):
 
 @pytest.mark.parametrize("S", [1, 2, 3, 7, 100_001])
 def test_s_weights_match_single_expression(S):
-    # filled slice by slice on the pool, with the bits of one power call
+    # the power taken in place has the bits of one power call
     want = np.arange(1, S + 1, dtype=np.float64) ** -1.5
     assert _s_weights(S).tobytes() == want.tobytes()
 

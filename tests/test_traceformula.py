@@ -231,6 +231,12 @@ def test_window_density_matches_per_level_loop(k, P, X, Y):
     assert window_density(cfg, P, X, Y) == num / den
 
 
+def test_window_density_empty_window_is_nan():
+    # [7, 7] holds no level coprime to P = 7; the trace average is NaN too
+    assert math.isnan(window_density(DensityConfig(k=2), 7, 7, 0))
+    assert math.isnan(interval_average(7, 0, 7, 2).average)
+
+
 def test_dyadic_average_window():
     rep = dyadic_average(50, 2.0, 101, 2)
     levels = [N for N in range(50, 101)
@@ -244,3 +250,5 @@ def test_interval_average_requires_Y_below_X():
         interval_average(100, 100, 11, 2)
     with pytest.raises(ValueError):
         dyadic_average(100, 1.0, 11, 2)
+    with pytest.raises(ValueError, match="finite"):
+        dyadic_average(10, 1e308, 7, 2)
