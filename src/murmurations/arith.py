@@ -126,11 +126,10 @@ class FactorSieve:
     _primes: list[int] | None = field(default=None, repr=False)
 
     def primes(self) -> list[int]:
-        """All primes up to the sieve limit, ascending."""
+        """All primes up to the sieve limit, ascending; primes_upto makes
+        them from odd-number flags, without a pass over spf."""
         if self._primes is None:
-            spf = np.frombuffer(self.spf, dtype=np.int64)
-            self._primes = np.flatnonzero(
-                spf == np.arange(self.limit + 1))[2:].tolist()
+            self._primes = primes_upto(self.limit).tolist()
         return self._primes
 
     def factor(self, n: int) -> list[tuple[int, int]]:
@@ -219,15 +218,18 @@ def primes_upto(n: int) -> np.ndarray:
 
 
 def build_sieve(limit: int) -> FactorSieve:
-    """Smallest-prime-factor sieve for 2..limit (spf[0] = 0, spf[1] = 1)."""
+    """Smallest-prime-factor sieve for 2..limit (spf[0] = 0, spf[1] = 1),
+    filled with n and sieved in place through a numpy view of the table."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    spf = np.arange(limit + 1, dtype=np.int64)
+    table = array("q", [0]) * (limit + 1)
+    spf = np.frombuffer(table, dtype=np.int64)
+    for lo in range(0, limit + 1, 1 << 16):     # no full-length arange
+        hi = min(lo + (1 << 16), limit + 1)
+        spf[lo:hi] = np.arange(lo, hi)
     # Largest prime first, so the smallest prime of n is written last.
     for p in primes_upto(math.isqrt(limit))[::-1].tolist():
         spf[p * p::p] = p
-    table = array("q")
-    table.frombytes(memoryview(spf).cast("B"))
     return FactorSieve(limit=limit, spf=table)
 
 

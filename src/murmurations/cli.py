@@ -4,7 +4,8 @@ Every subcommand writes deterministic CSV (fixed summation orders, shortest
 round-trip float formatting), so identical flags and cache state reproduce
 byte-identical output.  SVG emission is a pure view over the CSV data.
 Exit codes: 0 success / verdict pass, 1 verdict failure, 2 usage error or
-bad input (invalid arguments, an unreadable or corrupt cache file).
+bad input (invalid arguments, an unreadable or corrupt cache file, a size
+whose arrays cannot be allocated).
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
         ev = euler_constant(kind, PMAX)
         vals[kind] = ev.value
         rows.append(["constant", kind, ev.value, ev.pmax, ev.tail_bound])
-    qsum, qdsum, _ = q_weighted_sums(10 ** 6)
+    qsum, qdsum = q_weighted_sums(10 ** 6)
     r1 = abs(qsum - vals["beta"] / vals["alpha"])
     r2 = abs(vals["alpha"] / vals["gamma"] * qdsum - 1.0 / math.pi)
     r3 = abs(qsqrt_product(10 ** 6) - 3.0907)
@@ -348,6 +349,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, LookupError, OSError) as exc:
         print(f"murmur {args.subcommand}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"murmur {args.subcommand}: out of memory: {exc or 'no detail'}",
+              file=sys.stderr)
         return 2
 
 

@@ -154,21 +154,18 @@ def q_table(T: int) -> np.ndarray:
     return q
 
 
-def q_weighted_sums(T: int) -> tuple[float, float, float]:
-    """(sum Q(d), sum Q(d)/d, sum Q(d) sqrt(d)) over d <= T.
+def q_weighted_sums(T: int) -> tuple[float, float]:
+    """(sum Q(d), sum Q(d)/d) over d <= T.
 
-    Holds two (T + 1)-length arrays, q and one buffer: the buffer takes d,
-    then Q(d)/d in place, then is refilled with d a block of _BLOCK at a
-    time and takes sqrt(d) Q(d) in place; each sum is one full-array sum."""
+    Holds one (T + 1)-length array: q is summed, then divided in place by
+    d, a block of _BLOCK at a time (Q(0) = 0 stays 0), and summed again.
+    Each entry is the same float division as a full-length q / d and each
+    sum runs over the full array, so both sums have those bits."""
     q = q_table(T)
-    buf = np.arange(T + 1, dtype=np.float64)
-    buf[0] = 1.0
-    qd = float(np.divide(q, buf, out=buf).sum())
-    for lo in range(0, T + 1, _BLOCK):   # d = 0 keeps sqrt(0) Q(0) = 0
-        buf[lo:lo + _BLOCK] = np.arange(lo, min(lo + _BLOCK, T + 1))
-    np.sqrt(buf, out=buf)
-    buf *= q
-    return float(q.sum()), qd, float(buf.sum())
+    qsum = float(q.sum())
+    for lo in range(1, T + 1, _BLOCK):
+        q[lo:lo + _BLOCK] /= np.arange(lo, min(lo + _BLOCK, T + 1))
+    return qsum, float(q.sum())
 
 
 def qsqrt_product(pmax: int) -> float:

@@ -34,8 +34,8 @@ from .parallel import cpu_map
 # s <= ASYMPTOTIC_SMAX.
 ASYMPTOTIC_DMAX = 2000
 ASYMPTOTIC_SMAX = 4000
-# Rows of d per worker task in universal_asymptotic (128 x 4000 float64).
-_ASYMPTOTIC_BLOCK = 128
+# Rows of d per universal_asymptotic task: 32 x 4000 float64, 1 MB for L2.
+_ASYMPTOTIC_BLOCK = 32
 
 # Absolute tolerance of every quadrature behind the density, and the
 # bisection depth at which adaptive_quadrature gives up on a panel.
@@ -325,11 +325,11 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
 
     The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK;
     cpu_map's pool, one worker per CPU this process may run on, builds
-    each block's phase matrix (4 MB), takes its cosines in place (numpy
-    releases the GIL there) and takes each row's np.vecdot with s^(-3/2),
-    which has the bits of a per-row np.dot.  The main thread adds the
-    weighted row sums in d order, so the value is bit-identical to a
-    one-d-at-a-time loop, and peak memory is one block per worker.
+    each block's phase matrix (1 MB: it fits a 2 MB L2), takes its cosines
+    in place (numpy releases the GIL there) and takes each row's np.vecdot
+    with s^(-3/2), which has the bits of a per-row np.dot.  The main thread
+    adds the weighted row sums in d order, so the value is bit-identical
+    to a one-d-at-a-time loop, and peak memory is one block per worker.
     """
     if T <= 0:
         raise ValueError("T must be positive")

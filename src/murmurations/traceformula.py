@@ -180,9 +180,9 @@ def _report(kind: str, X: int, span: float, P: int, k: int,
 def interval_average(X: int, Y: int, P: int, k: int,
                      table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, X+Y] with P
-    excluded, against the predicted density M_k(P/X)."""
-    if Y >= X:
-        raise ValueError("need Y < X")
+    excluded, against the predicted density M_k(P/X); 0 <= Y < X."""
+    if not 0 <= Y < X:
+        raise ValueError(f"need 0 <= Y < X, got X = {X}, Y = {Y}")
     TraceParams(N=1, P=P, k=k)          # checks P and k for an empty window
     return _report("interval", X, float(Y), P, k,
                    _square_free_levels(X, X + Y, P),
@@ -192,7 +192,9 @@ def interval_average(X: int, Y: int, P: int, k: int,
 def dyadic_average(X: int, c: float, P: int, k: int,
                    table: HurwitzTable | None = None) -> TraceReport:
     """Average of traces over square-free levels in [X, cX], against the
-    dyadic integral of the density.  c X must be finite."""
+    dyadic integral of the density.  X >= 1, and c X must be finite."""
+    if X < 1:
+        raise ValueError(f"need X >= 1, got X = {X}")
     if c <= 1:
         raise ValueError("c must exceed 1")
     if not math.isfinite(c * X):

@@ -113,7 +113,7 @@ def test_criterion_05_euler_identities():
     alpha = euler_constant("alpha").value
     beta = euler_constant("beta").value
     gamma = euler_constant("gamma").value
-    qsum, qdsum, _ = q_weighted_sums(10 ** 6)
+    qsum, qdsum = q_weighted_sums(10 ** 6)
     r1 = abs(qsum - beta / alpha)
     r2 = abs(alpha / gamma * qdsum - 1.0 / math.pi)
     r3 = abs(qsqrt_product(10 ** 6) - 3.0907)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,29 @@ def test_build_sieve_matches_trial_division():
         assert spf.typecode == "q" and len(spf) == L + 1
         assert spf[0] == 0 and spf[1] == 1
         assert all(spf[n] == _spf_oracle(n) for n in range(2, L + 1)), L
+
+
+@pytest.mark.parametrize("limit", [2, 3, 100, 200_000, 200_001])
+def test_sieve_primes_match_spf_fixed_points(limit):
+    # the earlier route: the n >= 2 with spf[n] == n
+    sieve = build_sieve(limit)
+    spf = np.frombuffer(sieve.spf, dtype=np.int64)
+    want = np.flatnonzero(spf == np.arange(limit + 1))[2:].tolist()
+    assert sieve.primes() == want
+
+
+def test_build_sieve_holds_one_table():
+    # the table is the only full-length array; an int64 twin that is then
+    # copied into it would double the peak
+    limit = 10 ** 6
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (limit + 1) + 2 * 2 ** 20
 
 
 def _assert_primes_upto(n):

@@ -58,6 +58,33 @@ def test_overflowing_dyadic_window_exits_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    "dyadic-average --X 0 --c 2 --P 7 --k 2",
+    "trace-average --X 10 --Y -5 --P 7 --k 2",
+], ids=["dyadic-X-0", "trace-Y-negative"])
+def test_empty_or_inverted_window_exits_2(args, tmp_path):
+    # X = 0 would divide P by zero; Y < 0 would name the window 10..5
+    res = run(args.split(), tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.strip().splitlines()
+    assert line.startswith(f"murmur {args.split()[0]}: need ")
+
+
+def test_unallocatable_table_exits_2(monkeypatch, capsys):
+    # the size numpy cannot allocate is simulated, so nothing is allocated
+    def no_memory(dmin, dmax):
+        raise MemoryError(f"Unable to allocate a table to {dmax}")
+
+    monkeypatch.setattr(cli, "hurwitz_sieve", no_memory)
+    assert cli.main(["sieve-classnumbers", "--dmax", "3000000000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["murmur sieve-classnumbers: out of memory: "
+                                "Unable to allocate a table to 3000000000"]
+
+
 def test_verify_constants_bytes_pinned(tmp_path):
     """The stdout digest the benchmark's reference records for every
     density-verify seed: a change that moves a last bit fails here."""

@@ -119,16 +119,16 @@ def test_q_table_matches_per_prime_loop(T):
 
 @pytest.mark.parametrize("T", [0, 1, 60, 8191, 8193, 10 ** 5 + 7, 10 ** 6])
 def test_q_weighted_sums_match_full_length_expressions(T):
-    # the earlier four-array expressions are the oracle, bit for bit
+    # the earlier full-length expressions are the oracle, bit for bit
     q = q_table(T)
     d = np.arange(T + 1, dtype=np.float64)
     d[0] = 1.0
-    want = (float(q.sum()), float((q / d).sum()),
-            float((q * np.sqrt(d)).sum()))
+    want = (float(q.sum()), float((q / d).sum()))
     assert [v.hex() for v in q_weighted_sums(T)] == [v.hex() for v in want]
 
 
-def test_q_weighted_sums_holds_two_arrays():
+def test_q_weighted_sums_holds_one_array():
+    # one (T + 1)-length array: q, divided by d in place a block at a time
     T = 10 ** 6
     tracemalloc.start()
     try:
@@ -137,7 +137,7 @@ def test_q_weighted_sums_holds_two_arrays():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * (T + 1) + 2 * 2 ** 20
+    assert peak <= 8 * (T + 1) + 2 * 2 ** 20
 
 
 def test_qcount_routes_agree():
@@ -171,7 +171,7 @@ def test_q_sum_identities():
     alpha = euler_constant("alpha")
     beta = euler_constant("beta")
     gamma = euler_constant("gamma")
-    qsum, qdsum, _ = q_weighted_sums(10 ** 6)
+    qsum, qdsum = q_weighted_sums(10 ** 6)
     assert abs(qsum - beta.value / alpha.value) < 1e-5
     assert abs(alpha.value / gamma.value * qdsum - 1.0 / math.pi) < 1e-5
 
@@ -179,7 +179,8 @@ def test_q_sum_identities():
 def test_qsqrt_upper_bound_dominates_partials():
     bound = qsqrt_sum_upper_bound(10 ** 5)
     for T in (10 ** 3, 10 ** 5):
-        assert q_weighted_sums(T)[2] < bound
+        q = q_table(T)
+        assert float((q * np.sqrt(np.arange(T + 1))).sum()) < bound
     # and the bound tightens with more primes
     assert qsqrt_sum_upper_bound(10 ** 6) <= bound
     assert qsqrt_product(10 ** 6) == pytest.approx(3.0907, abs=1e-3)

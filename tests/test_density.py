@@ -337,7 +337,7 @@ def test_universal_asymptotic_matches_per_d_loop(k):
 
 
 def test_universal_asymptotic_memory_and_threads():
-    # one 4 MB phase block per worker, never the 39 MB full matrix; the
+    # one 1 MB phase block per worker, never the 39 MB full matrix; the
     # calling thread is held to at most two CPUs so the bound does not
     # depend on the machine, and every worker thread is gone on return
     cfg = DensityConfig(k=2)
@@ -354,6 +354,20 @@ def test_universal_asymptotic_memory_and_threads():
         os.sched_setaffinity(0, cpus)
     assert peak <= 16 * 2 ** 20
     assert threading.active_count() == threads
+
+
+def test_universal_asymptotic_peaks_at_one_block_per_cpu():
+    # each worker holds one 32 x 4000 float64 phase matrix, which fits L2
+    cfg = DensityConfig(k=4)
+    universal_asymptotic(3.0, cfg)              # constants and Q(d) cached
+    tracemalloc.start()
+    try:
+        universal_asymptotic(3.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cpus = len(os.sched_getaffinity(0))
+    assert peak <= cpus * 32 * ASYMPTOTIC_SMAX * 8 + 2 * 2 ** 20
 
 
 def test_universal_asymptotic_same_on_one_cpu():
