@@ -1,15 +1,15 @@
 """Integer substrate: smallest-prime-factor sieve, Kronecker symbols, and
 the elementary multiplicative/summatory functions everything else consumes.
 
-The process shares one factor sieve, `shared_sieve()`.  A sieve only
-speeds factorization up and never changes a value, so callers do not pick
-one: the shared sieve is replaced by a larger one when a range outgrows it
-and never shrinks.  Exact sums are plain Python integers (arbitrary
-precision), so there is no overflow concern at any scale used here.
+The process shares one fixed factor sieve of 2..200 000, `shared_sieve()`;
+a sieve only speeds factorization up and never changes a value.  Exact
+sums are plain Python integers (arbitrary precision), so there is no
+overflow concern at any scale used here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -233,20 +233,10 @@ def build_sieve(limit: int) -> FactorSieve:
     return FactorSieve(limit=limit, spf=table)
 
 
-_shared: FactorSieve | None = None
-
-
-def shared_sieve(limit: int = 200_000) -> FactorSieve:
-    """The process-wide sieve, covering at least 2..limit.
-
-    A request beyond the current sieve replaces it by one at least twice
-    as large, so a slowly growing request rebuilds it only a logarithmic
-    number of times; the sieve never shrinks.
-    """
-    global _shared
-    if _shared is None or _shared.limit < limit:
-        _shared = build_sieve(max(limit, 2 * _shared.limit if _shared else 2))
-    return _shared
+@functools.cache
+def shared_sieve() -> FactorSieve:
+    """The process-wide factor sieve of 2..200 000, built on first use."""
+    return build_sieve(200_000)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +247,12 @@ def sum_mu2_phi(Z: int) -> int:
     """Exact Sum_{n <= Z} mu(n)^2 phi(n).
 
     Main term Z^2/(2 zeta(2)) * prod_p (1 - 1/(p^2+p)); the exact value is
-    used to probe that asymptotic.  Each n is factored by walking the
-    shared sieve's spf, which stops at the first repeated prime, so
-    square-full n drop out without a separate square-free sieve.
+    used to probe that asymptotic.  Each n is factored by walking the spf
+    of its own sieve of 2..max(Z, 2), which stops at the first repeated
+    prime, so square-full n drop out without a square-free sieve.
     """
     total = 0
-    spf = shared_sieve(Z).spf
+    spf = build_sieve(max(Z, 2)).spf
     for n in range(1, Z + 1):
         m, phi = n, n
         while m > 1:
@@ -279,11 +269,12 @@ def sum_mu2_phi(Z: int) -> int:
 def squarefree_in_class_count(X: int, Y: int, a: int, m: int) -> int:
     """Count of square-free N in [X, X+Y] with N congruent to a mod m.
 
-    Main term (Y/zeta(2)) * eta(m)/phi(m) (Hooley's equidistribution).
+    Main term (Y/zeta(2)) * eta(m)/phi(m) (Hooley's equidistribution);
+    each n is factored through its own sieve of 2..max(X + Y, 2).
     """
     if math.gcd(a, m) != 1:
         raise ValueError("a must be coprime to m")
-    sieve = shared_sieve(X + Y)
+    sieve = build_sieve(max(X + Y, 2))
     lo = X + ((a - X) % m)
     total = 0
     for n in range(lo, X + Y + 1, m):

@@ -41,6 +41,8 @@ TABLE_DMIN = 3
 # m <= MMAX, and phi_circ for r, d <= DMAX and square g <= GMAX.
 RMAX, MMAX, DMAX, GMAX = 12, 200, 12, 1000
 
+GRID_MAX_POINTS = 10 ** 6      # the most points a --y-grid may hold
+
 
 def cache_dir() -> Path:
     """Persistent cache location; MURMUR_CACHE_DIR overrides the default."""
@@ -98,10 +100,14 @@ def _parse_grid(spec: str) -> list[float]:
     if not (-math.inf < start <= stop < math.inf and 0 < step < math.inf):
         raise SystemExit(f"bad grid spec {spec!r}")
     # round() keeps the last point of a span that is a multiple of step
-    # despite float error; the check drops a last point past stop
-    n = int(round((stop - start) / step))
+    # despite float error; the check drops a last point past stop.  min()
+    # caps an infinite or huge span, so it is refused before any list.
+    n = int(round(min((stop - start) / step, GRID_MAX_POINTS)))
     if start + n * step > stop + 1e-9 * step:
         n -= 1
+    if n >= GRID_MAX_POINTS:
+        raise SystemExit(f"bad grid spec {spec!r}; more than "
+                         f"GRID_MAX_POINTS = {GRID_MAX_POINTS} points")
     return [start + i * step for i in range(n + 1)]
 
 
@@ -209,7 +215,7 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
     rows.append(["identity", "sum_Q_vs_beta_over_alpha", r1, 10 ** 6, 1e-5])
     rows.append(["identity", "sum_Q_over_d_vs_inv_pi", r2, 10 ** 6, 1e-5])
     rows.append(["identity", "qsqrt_partial_product", r3, 10 ** 6, 1e-3])
-    a, b, c = dyadic_closed_form_constants(PMAX)
+    a, b, c = dyadic_closed_form_constants()
     rows.append(["derived", "dyadic_a", a, PMAX, math.nan])
     rows.append(["derived", "dyadic_b", b, PMAX, math.nan])
     rows.append(["derived", "dyadic_c", c, PMAX, math.nan])
@@ -315,7 +321,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("signcheck",
                        help="one-period sign certification and second-peak "
-                            "probe; CSV of worst margins per offset")
+                            "probe; CSV of worst margins per offset; exit 0 "
+                            "iff every grid offset and, unless --skip-probe, "
+                            "the uncertified probe row pass")
     s.add_argument("--offsets",
                    default=",".join(map(str, DEFAULT_OFFSETS)))
     s.add_argument("--S", type=int, default=SignCheckConfig.S)

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import euler_constant
-from .multfns import Q, nu
+from .multfns import Q, nu, q_sqrt_weights
 from .parallel import cpu_map
 
 
@@ -36,6 +36,10 @@ ASYMPTOTIC_DMAX = 2000
 ASYMPTOTIC_SMAX = 4000
 # Rows of d per universal_asymptotic task: 32 x 4000 float64, 1 MB for L2.
 _ASYMPTOTIC_BLOCK = 32
+
+# The largest y the Chebyshev and Bessel forms accept: their loops over
+# r or d <= 2 sqrt(y) take 7-11 s there on a 2-core VM.
+CHEBYSHEV_YMAX, BESSEL_YMAX = 1e10, 1e6
 
 # Absolute tolerance of every quadrature behind the density, and the
 # bisection depth at which adaptive_quadrature gives up on a panel.
@@ -179,10 +183,12 @@ def murmuration_density(cfg: DensityConfig, y):
     y = np.asarray(y, dtype=np.float64)
     if (y <= 0).any():
         raise ValueError("y must be positive")
+    if not (y <= CHEBYSHEV_YMAX).all():
+        raise ValueError(f"y must be finite and at most CHEBYSHEV_YMAX = "
+                         f"{CHEBYSHEV_YMAX:g} for the Chebyshev form")
     k = cfg.k
-    al = euler_constant("alpha", cfg.pmax).value
-    be = euler_constant("beta", cfg.pmax).value
-    ga = euler_constant("gamma", cfg.pmax).value
+    al, be, ga = (euler_constant(kind, cfg.pmax).value
+                  for kind in ("alpha", "beta", "gamma"))
     two_sqrt_y = 2.0 * np.sqrt(y)
     total = np.zeros(y.shape)
     for r in range(1, int(two_sqrt_y.max(initial=0.0)) + 1):
@@ -255,12 +261,14 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
     """
     if y <= 0:
         raise ValueError("y must be positive")
+    if not y <= BESSEL_YMAX:
+        raise ValueError(f"y must be finite and at most BESSEL_YMAX = "
+                         f"{BESSEL_YMAX:g} for the Bessel form")
     k = cfg.k
     order = k - 1
     sy = math.sqrt(y)
-    al = euler_constant("alpha", cfg.pmax)
-    be = euler_constant("beta", cfg.pmax)
-    ga = euler_constant("gamma", cfg.pmax)
+    al, be, ga = (euler_constant(kind, cfg.pmax)
+                  for kind in ("alpha", "beta", "gamma"))
 
     d0 = int(2.0 * sy)
     head = 0.0
@@ -302,11 +310,10 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
 @lru_cache(maxsize=None)
 def _asymptotic_terms() -> tuple[np.ndarray, tuple[float, ...]]:
     """The d <= ASYMPTOTIC_DMAX with Q(d) != 0, as float64, and their
-    weights float(Q(d)) * sqrt(d)."""
-    qs = {d: Q(d) for d in range(1, ASYMPTOTIC_DMAX + 1)}
-    ds = [d for d, q in qs.items() if q != 0]
-    return (np.array(ds, dtype=np.float64),
-            tuple(float(qs[d]) * math.sqrt(d) for d in ds))
+    weights q_sqrt_weights, which vanish exactly where Q(d) does."""
+    weights = q_sqrt_weights(range(1, ASYMPTOTIC_DMAX + 1))
+    ds = [d for d, w in enumerate(weights, 1) if w]
+    return np.array(ds, dtype=np.float64), tuple(w for w in weights if w)
 
 
 def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
@@ -384,20 +391,18 @@ def dyadic_density(c: float, y: float, cfg: DensityConfig) -> float:
     return 2.0 / (c * c - 1.0) * val
 
 
-def dyadic_closed_form_constants(pmax: int = 10 ** 6
-                                 ) -> tuple[float, float, float]:
+def dyadic_closed_form_constants() -> tuple[float, float, float]:
     """(a, b, c) of the k=2, c=2 dyadic closed form, assembled from the
-    Euler-product constants: a = (4/9)(2^(3/2) - 1) beta, b = (2/3) gamma,
-    c = (2/3) alpha."""
-    al = euler_constant("alpha", pmax).value
-    be = euler_constant("beta", pmax).value
-    ga = euler_constant("gamma", pmax).value
+    Euler-product constants at the density's prime cutoff:
+    a = (4/9)(2^(3/2) - 1) beta, b = (2/3) gamma, c = (2/3) alpha."""
+    al, be, ga = (euler_constant(kind, DensityConfig.pmax).value
+                  for kind in ("alpha", "beta", "gamma"))
     return ((4.0 / 9.0) * (2.0 ** 1.5 - 1.0) * be,
             (2.0 / 3.0) * ga,
             (2.0 / 3.0) * al)
 
 
-def dyadic_closed_form_k2(y: float, pmax: int = 10 ** 6) -> float:
+def dyadic_closed_form_k2(y: float) -> float:
     """Closed form of the k=2, c=2 dyadic average on [0, 1]:
 
         a sqrt(y) - b y + c * A(y),
@@ -407,7 +412,7 @@ def dyadic_closed_form_k2(y: float, pmax: int = 10 ** 6) -> float:
     ((u - 2y)/2) sqrt(u(4y - u)) + 2 y^2 arcsin((u - 2y)/(2y))."""
     if not 0.0 <= y <= 1.0:
         raise ValueError("y must lie in [0, 1]")
-    a, b, c = dyadic_closed_form_constants(pmax)
+    a, b, c = dyadic_closed_form_constants()
     value = a * math.sqrt(y) - b * y
     if y <= 0.25:
         return value

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,19 +43,17 @@ def is_admissible(r: int, d: int) -> bool:
 
 
 def _residues(r: int, d: int, P: int) -> tuple[int, ...]:
+    """The residues t mod d^2 with r^2 t = 4P (mod d^2), ascending: none
+    unless is_admissible(r, d), two for even r with 4 | d, else one."""
+    if not is_admissible(r, d):
+        return ()
     m = d * d
     if r % 2 == 1:
-        if d % 2 == 0 or math.gcd(d, r) != 1:
-            return ()
         return (4 * P * pow(r, -2, m) % m,)
     l = r // 2
     if d % 2 == 1:
-        if math.gcd(d, l) != 1:
-            return ()
         return (P * pow(l, -2, m) % m if m > 1 else 0,)
     b = d // 2
-    if math.gcd(l, b) != 1:
-        return ()
     if b % 2 == 1:
         if l % 2 == 1:
             return (P * pow(l, -2, m) % m,)
@@ -76,8 +75,7 @@ def remainder_set(r: int, d: int, P: int) -> RemainderSet:
     if d % P == 0:
         raise ValueError("P must not divide d")
     res = _residues(r, d, P)
-    if m := d:  # residues must be coprime to d
-        assert all(math.gcd(t, m) == 1 or m == 1 for t in res)
+    assert d == 1 or all(math.gcd(t, d) == 1 for t in res)
     return RemainderSet(r=r, d=d, P=P, residues=res, admissible=bool(res))
 
 
@@ -147,14 +145,15 @@ def _is_square(n: int) -> bool:
     return s * s == n
 
 
-def _g_divides_d_infinity(g: int, d: int) -> bool:
+def _check_g(g: int, d: int) -> None:
+    """Raise ValueError unless v_2(g) is not 1 or 2 and g | d^infinity."""
+    _check_v2(g, "g")
     while g > 1:
         e = math.gcd(g, d)
         if e == 1:
-            return False
+            raise ValueError("g must divide a power of d")
         while (e2 := math.gcd(g, e)) > 1:
             g //= e2
-    return True
 
 
 def phi_circ(r: int, d: int, g: int, P: int) -> int:
@@ -164,17 +163,13 @@ def phi_circ(r: int, d: int, g: int, P: int) -> int:
     Zero for non-admissible (r, d); requires g | d^infinity and
     v_2(g) not in {1, 2}.  P-independent.
     """
-    _check_v2(g, "g")
-    if not _g_divides_d_infinity(g, d):
-        raise ValueError("g must divide a power of d")
+    _check_g(g, d)
     return _phi_circ_ext(r, d, g)
 
 
 def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
     """Defining sum over a mod d^2 g with a mod d^2 in the residue set."""
-    _check_v2(g, "g")
-    if not _g_divides_d_infinity(g, d):
-        raise ValueError("g must divide a power of d")
+    _check_g(g, d)
     rs = remainder_set(r, d, P)
     if not rs.admissible:
         return 0
@@ -203,6 +198,11 @@ def Q(d: int) -> Fraction:
             return Fraction(0)
         result *= Fraction(p * p, p ** 4 - 2 * p * p - p + 1)
     return result
+
+
+def q_sqrt_weights(ds: Iterable[int]) -> tuple[float, ...]:
+    """float(Q(d)) * sqrt(d), the profile weight of d, for each d of ds."""
+    return tuple(float(Q(d)) * math.sqrt(d) for d in ds)
 
 
 def nu(r: int) -> Fraction:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .arith import shared_sieve
 from .constants import ZETA_3_2, q_table, qsqrt_sum_upper_bound
-from .multfns import Q
+from .multfns import q_sqrt_weights
 from .parallel import cpu_map
 
 # The 25-element truncation set whose period is 3*5*7*11*13 = 15015.
@@ -75,9 +75,8 @@ class SignCheckConfig:
     def __post_init__(self) -> None:
         if not self.D:
             raise ValueError("truncation set must be nonempty")
-        sv = shared_sieve()
         for d in self.D:
-            if d < 1 or not sv.is_squarefree(d):
+            if d < 1 or not shared_sieve().is_squarefree(d):
                 raise ValueError(f"{d} is not square-free")
         if self.S < 1:
             raise ValueError("S must be >= 1")
@@ -145,10 +144,6 @@ def f_polylog(x: float, S: int) -> tuple[float, float]:
     return float(np.dot(a, w)), 2.0 / math.sqrt(S)
 
 
-def _weights_for(D: tuple[int, ...]) -> tuple[float, ...]:
-    return tuple(float(Q(d)) * math.sqrt(d) for d in D)
-
-
 def period(D: tuple[int, ...]) -> Fraction:
     """Half the least common multiple of the truncation set: the period of
     the truncated profile sum_{d in D} Q(d) sqrt(d) f(T/d)."""
@@ -168,7 +163,7 @@ def error_budget(D: tuple[int, ...], full_sum_upper: float) -> float:
     """(full_sum_upper - sum_{d in D} Q(d) sqrt(d)) * M_max: a bound on the
     discarded d's contribution at any point, given a certified upper bound
     on the complete sqrt-weighted sum of Q."""
-    inside = math.fsum(_weights_for(D))
+    inside = math.fsum(q_sqrt_weights(D))
     diff = full_sum_upper - inside
     if diff < 0:
         raise ValueError("upper bound below the in-set sum; not a bound")
@@ -259,7 +254,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     """
     budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
-    weights = _weights_for(cfg.D)
+    weights = q_sqrt_weights(cfg.D)
     inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
     cert = SignCheckCertificate(period=period(cfg.D), error_budget=budget,
                                 inner_tail=inner_tail, grid=npts)
@@ -399,7 +394,7 @@ def third_sign_change_fraction(cfg: SignCheckConfig) -> float:
     uncertified probe via the interpolated f)."""
     budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
-    weights = _weights_for(cfg.D)
+    weights = q_sqrt_weights(cfg.D)
     ks = np.arange(1, npts + 1, dtype=np.float64)[:, None]
     us = np.linspace(0.5, 1.0, THIRD_CHANGE_SAMPLES)[None, :]
     ts = ks + us

@@ -108,17 +108,6 @@ def test_primes_upto_matches_sympy():
     assert primes_upto(10 ** 6).size == 78498
 
 
-def test_shared_sieve_grows_and_never_shrinks(monkeypatch):
-    monkeypatch.setattr(arith, "_shared", None)
-    first = shared_sieve(5000)
-    assert first.limit >= 5000
-    assert shared_sieve(5000) is first and shared_sieve(10) is first
-    grown = shared_sieve(first.limit + 1)
-    assert grown is not first and grown.limit > first.limit
-    assert shared_sieve(first.limit) is grown
-    assert shared_sieve(2) is grown
-
-
 @given(st.integers(100_001, 10 ** 13))
 @settings(max_examples=50)
 def test_factor_beyond_limit_matches_sympy(n):
@@ -173,6 +162,16 @@ def test_squarefree_in_class_requires_coprime():
 
 
 # -- sieve ownership ----------------------------------------------------------
+
+def test_shared_sieve_is_fixed():
+    """One cached sieve of 2..200 000: a range count past it builds its own
+    sieve and leaves the shared one as it was."""
+    first = shared_sieve()
+    assert first.limit == 200_000 and shared_sieve() is first
+    assert sum_mu2_phi(200_001) > 0
+    assert squarefree_in_class_count(200_000, 10, 1, 3) > 0
+    assert shared_sieve() is first and first.limit == 200_000
+
 
 def test_only_arith_builds_or_takes_a_sieve():
     """The factor sieve is arith's business: elsewhere in the package no

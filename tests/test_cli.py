@@ -3,6 +3,7 @@ grid parsing, and a package that runs on numpy alone."""
 
 import ast
 import hashlib
+import json
 import math
 import os
 import struct
@@ -15,6 +16,7 @@ import pytest
 
 from murmurations import cli
 from murmurations.classnumbers import hurwitz_sieve, save_table
+from murmurations.signcheck import SecondPeakReport
 
 
 def run(args, tmp_path, env_extra=None):
@@ -209,6 +211,46 @@ def test_parse_grid_keeps_benchmark_grids():
                 [lo + i * step for i in range(n + 1)]
 
 
+def test_grid_past_its_bound_exits_2_before_any_list(monkeypatch, capsys):
+    # 1e300 / 1e-300 overflows the point count; 0:1e9:1e-3 asks for 1e12
+    # floats.  range() is guarded, so no test run builds such a list.
+    def small_range(n):
+        assert n <= cli.GRID_MAX_POINTS, f"a grid of {n} points was built"
+        return range(n)
+
+    monkeypatch.setattr(cli, "range", small_range, raising=False)
+    for spec in ("0:1e300:1e-300", "0:1e9:1e-3"):
+        assert cli.main(["density", "--k", "2", "--y-grid", spec]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"bad grid spec {spec!r}; more than GRID_MAX_POINTS = "
+            f"{cli.GRID_MAX_POINTS} points"]
+    assert len(cli._parse_grid("0:999999:1")) == cli.GRID_MAX_POINTS
+
+
+@pytest.mark.parametrize("args, bound", [
+    ("--y-grid 1e12:1e12:1", "CHEBYSHEV_YMAX = 1e+10"),
+    ("--y-grid 1e300:1e300:1", "CHEBYSHEV_YMAX = 1e+10"),
+    ("--form bessel --y-grid 1e8:1e8:1", "BESSEL_YMAX = 1e+06"),
+], ids=["chebyshev-1e12", "chebyshev-1e300", "bessel-1e8"])
+def test_density_past_its_y_bound_exits_2_at_once(args, bound):
+    """A y whose r- or d-loop would run for minutes (or, at 1e300, never
+    end) is refused within a second.  The command runs in a child
+    process, timed from after import, so a hang is killed."""
+    code = ("import sys, time\n"
+            "from murmurations import cli\n"
+            "t = time.perf_counter()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - t)\n")
+    res = subprocess.run([sys.executable, "-c", code, "density", "--k", "2",
+                          *args.split()], capture_output=True, text=True,
+                         timeout=60)
+    rc, seconds = res.stdout.split()
+    assert rc == "2" and float(seconds) < 1.0
+    assert res.stderr.strip().splitlines() == [
+        f"murmur density: y must be finite and at most {bound} for the "
+        f"{'Bessel' if 'bessel' in args else 'Chebyshev'} form"]
+
+
 def test_density_grid_rows_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["density", "--k", "2", "--y-grid", "0:0.2:0.01"]
@@ -371,6 +413,46 @@ def test_signcheck_with_probe(tmp_path):
     check, argmax, sign, _, dmax, verdict = probe.split(",")
     assert (check, float(argmax), sign, dmax, verdict) == \
         ("second_peak", 15014.6, "-1", "5000", "pass")
+
+
+def test_signcheck_exit_needs_the_uncertified_probe_row(monkeypatch, capsys):
+    """The exit code is 1 when the probe row fails, even though every grid
+    offset is certified: the probe is part of the verdict."""
+    monkeypatch.setattr(cli, "second_peak_probe", lambda: SecondPeakReport(
+        dmax=5000, max_value=-0.01, argmax=15014.6, error_bound=0.02))
+    assert cli.main(["signcheck", "--S", "5000", "--offsets", "0"]) == 1
+    grid, probe = capsys.readouterr().out.splitlines()[1:]
+    assert grid.startswith("grid,0.0,-1,") and grid.endswith(",pass")
+    assert probe == "second_peak,15014.6,-1,-0.01,5000,fail"
+
+
+def test_pinned_digests_match_benchmark_reference():
+    """Each digest literal above that pins a benchmark step equals that
+    step's entry in perfbench/reference.json (read, never written): the
+    verify-constants and four density steps of density-verify choice 0,
+    and the four table-trace averages at P = 101."""
+    ref = json.loads((Path(__file__).parents[1] / "perfbench"
+                      / "reference.json").read_text())
+    funcs = {f.name: f for f in ast.parse(Path(__file__).read_text()).body
+             if isinstance(f, ast.FunctionDef)}
+
+    def rows(name):
+        (dec,) = funcs[name].decorator_list
+        return ast.literal_eval(dec.args[1])
+
+    (digest,) = [n.value for n in ast.walk(
+        funcs["test_verify_constants_bytes_pinned"])
+        if isinstance(n, ast.Constant) and len(str(n.value)) == 64]
+    pins = {("density-verify", "0", "verify-constants"): digest}
+    for form, k, _, digest in rows("test_density_bytes_pinned"):
+        pins["density-verify", "0", f"{form} k={k}"] = digest
+    for args, digest in rows("test_trace_bytes_pinned"):
+        words = args.split()
+        P = words[words.index("--P") + 1]
+        pins["table-trace", P, f"{words[0]} k={words[-1]}"] = digest
+    assert len(pins) == 9
+    for (workload, choice, step), digest in pins.items():
+        assert ref[workload][choice][step] == digest, (workload, step)
 
 
 # -- start-up cost ----------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from murmurations import signcheck
+from murmurations.multfns import q_sqrt_weights
 from murmurations.signcheck import (DEFAULT_D, PROBE_INTERVAL,
                                     SignCheckConfig, _f_grid, _s_weights,
                                     error_budget, f_interpolated, f_polylog,
@@ -229,7 +230,7 @@ def _grid_verify_fraction_loop(cfg):
                  error_budget(cfg.D, signcheck.REFERENCE_QSQRT_BOUND))
     per = period(cfg.D)
     npts = int(per) if per.denominator == 1 else int(2 * per)
-    weights = signcheck._weights_for(cfg.D)
+    weights = q_sqrt_weights(cfg.D)
     inner_tail = math.fsum(weights) * 2.0 / math.sqrt(cfg.S)
     out = []
     for o in cfg.offsets:
