@@ -217,16 +217,27 @@ def primes_upto(n: int) -> np.ndarray:
     return np.concatenate(([2], out)).astype(np.int64, copy=False)
 
 
+# The largest sieve limit: spf is a table of 32-bit ints.
+SIEVE_LIMIT_MAX = 2 ** 31 - 1
+
+
 def build_sieve(limit: int) -> FactorSieve:
     """Smallest-prime-factor sieve for 2..limit (spf[0] = 0, spf[1] = 1),
-    filled with n and sieved in place through a numpy view of the table."""
+    filled with n and sieved in place through a numpy view of the table.
+
+    spf is an array("i") of 32-bit ints: half the bytes of a 64-bit table,
+    the same Python int on every read.  It is filled from int32 blocks, and
+    a limit past SIEVE_LIMIT_MAX is refused before anything is allocated."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
-    table = array("q", [0]) * (limit + 1)
-    spf = np.frombuffer(table, dtype=np.int64)
+    if limit > SIEVE_LIMIT_MAX:
+        raise ValueError(f"sieve limit must be at most SIEVE_LIMIT_MAX = "
+                         f"{SIEVE_LIMIT_MAX} (32-bit table)")
+    table = array("i", [0]) * (limit + 1)
+    spf = np.frombuffer(table, dtype=np.intc)
     for lo in range(0, limit + 1, 1 << 16):     # no full-length arange
         hi = min(lo + (1 << 16), limit + 1)
-        spf[lo:hi] = np.arange(lo, hi)
+        spf[lo:hi] = np.arange(lo, hi, dtype=np.intc)
     # Largest prime first, so the smallest prime of n is written last.
     for p in primes_upto(math.isqrt(limit))[::-1].tolist():
         spf[p * p::p] = p
@@ -272,6 +283,9 @@ def squarefree_in_class_count(X: int, Y: int, a: int, m: int) -> int:
     Main term (Y/zeta(2)) * eta(m)/phi(m) (Hooley's equidistribution);
     each n is factored through its own sieve of 2..max(X + Y, 2).
     """
+    if X < 1 or Y < 0:
+        raise ValueError(f"the window needs X >= 1 and Y >= 0, "
+                         f"got X = {X}, Y = {Y}")
     if math.gcd(a, m) != 1:
         raise ValueError("a must be coprime to m")
     sieve = build_sieve(max(X + Y, 2))

@@ -202,13 +202,19 @@ def _cmd_signcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_constants(args: argparse.Namespace) -> int:
+    """Print the seven Euler-product constants, three identities they
+    satisfy, and the k=2 dyadic closed-form constants.
+
+    The Q sums run first, while the heap holds only the imports, so their
+    8 MB Q array does not land on top of what the Euler products leave
+    behind.  Every value is pure: the order changes no printed byte."""
+    qsum, qdsum = q_weighted_sums(10 ** 6)
     rows: list[list[object]] = []
     vals = {}
     for kind in ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta"):
         ev = euler_constant(kind, PMAX)
         vals[kind] = ev.value
         rows.append(["constant", kind, ev.value, ev.pmax, ev.tail_bound])
-    qsum, qdsum = q_weighted_sums(10 ** 6)
     r1 = abs(qsum - vals["beta"] / vals["alpha"])
     r2 = abs(vals["alpha"] / vals["gamma"] * qdsum - 1.0 / math.pi)
     r3 = abs(qsqrt_product(10 ** 6) - 3.0907)

@@ -136,11 +136,15 @@ def q_table(T: int) -> np.ndarray:
     A d <= T has at most one prime factor above sqrt(T), and it comes
     last; for each multiplier m those primes p with m p <= T are applied
     in one indexed multiply, a block of _BLOCK primes at a time.
+
+    The primes are sieved before q is allocated, so the sieve's flags and
+    temporaries are freed before the (T + 1)-length array exists and the
+    peak holds only q and the primes; the multiplies are unchanged.
     """
-    q = np.ones(T + 1)
-    q[0] = 0.0
     ps = primes_upto(T)
     split = int(np.searchsorted(ps, math.isqrt(T), side="right"))
+    q = np.ones(T + 1)
+    q[0] = 0.0
     for p in ps[:split].tolist():
         q[p::p] *= _q_prime(p)
         q[p * p::p * p] = 0.0

@@ -40,6 +40,10 @@ _ASYMPTOTIC_BLOCK = 32
 # The largest y the Chebyshev and Bessel forms accept: their loops over
 # r or d <= 2 sqrt(y) take 7-11 s there on a 2-core VM.
 CHEBYSHEV_YMAX, BESSEL_YMAX = 1e10, 1e6
+# The most point-r terms, size x floor(2 sqrt(max y)), one Chebyshev call
+# takes on: at k = 24 a term costs 60-190 ns on a 2-core VM, so an array
+# of 10^3 to 10^6 points at this bound takes 6-10 s.
+CHEBYSHEV_WORK_MAX = 50_000_000
 
 # Absolute tolerance of every quadrature behind the density, and the
 # bisection depth at which adaptive_quadrature gives up on a panel.
@@ -179,6 +183,8 @@ def murmuration_density(cfg: DensityConfig, y):
              + (beta/(k-1)) sqrt(y) - gamma [k=2] y.
 
     An r past 2 sqrt(y) adds +-0, so each entry keeps its float's bits.
+    Every r is a pass over the whole array, so an array whose size times
+    floor(2 sqrt(max y)) exceeds CHEBYSHEV_WORK_MAX is refused.
     """
     y = np.asarray(y, dtype=np.float64)
     if (y <= 0).any():
@@ -186,12 +192,17 @@ def murmuration_density(cfg: DensityConfig, y):
     if not (y <= CHEBYSHEV_YMAX).all():
         raise ValueError(f"y must be finite and at most CHEBYSHEV_YMAX = "
                          f"{CHEBYSHEV_YMAX:g} for the Chebyshev form")
+    two_sqrt_y = 2.0 * np.sqrt(y)
+    rmax = int(two_sqrt_y.max(initial=0.0))
+    if y.size * rmax > CHEBYSHEV_WORK_MAX:
+        raise ValueError(f"{y.size} points up to y = {y.max():g} make "
+                         f"{y.size * rmax} point-r terms, more than "
+                         f"CHEBYSHEV_WORK_MAX = {CHEBYSHEV_WORK_MAX}")
     k = cfg.k
     al, be, ga = (euler_constant(kind, cfg.pmax).value
                   for kind in ("alpha", "beta", "gamma"))
-    two_sqrt_y = 2.0 * np.sqrt(y)
     total = np.zeros(y.shape)
-    for r in range(1, int(two_sqrt_y.max(initial=0.0)) + 1):
+    for r in range(1, rmax + 1):
         rad = np.maximum(4.0 * y - r * r, 0.0)
         u = chebyshev_U(k - 2, np.minimum(r / two_sqrt_y, 1.0))
         total += float(nu(r)) * np.sqrt(rad) * u

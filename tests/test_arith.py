@@ -62,7 +62,8 @@ def _spf_oracle(n):
 def test_build_sieve_matches_trial_division():
     for L in (2, 3, 4, 10, 1000, 65537):
         spf = build_sieve(L).spf
-        assert spf.typecode == "q" and len(spf) == L + 1
+        assert spf.typecode == "i" and spf.itemsize == 4
+        assert len(spf) == L + 1
         assert spf[0] == 0 and spf[1] == 1
         assert all(spf[n] == _spf_oracle(n) for n in range(2, L + 1)), L
 
@@ -71,14 +72,14 @@ def test_build_sieve_matches_trial_division():
 def test_sieve_primes_match_spf_fixed_points(limit):
     # the earlier route: the n >= 2 with spf[n] == n
     sieve = build_sieve(limit)
-    spf = np.frombuffer(sieve.spf, dtype=np.int64)
+    spf = np.frombuffer(sieve.spf, dtype=np.int32)
     want = np.flatnonzero(spf == np.arange(limit + 1))[2:].tolist()
     assert sieve.primes() == want
 
 
 def test_build_sieve_holds_one_table():
-    # the table is the only full-length array; an int64 twin that is then
-    # copied into it would double the peak
+    # the 32-bit table is the only full-length array; a 64-bit table, or
+    # a twin that is then copied into it, would double the peak
     limit = 10 ** 6
     tracemalloc.start()
     try:
@@ -87,7 +88,18 @@ def test_build_sieve_holds_one_table():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (limit + 1) + 2 * 2 ** 20
+    assert peak <= 4 * (limit + 1) + 2 ** 20
+
+
+def test_build_sieve_refuses_a_limit_past_32_bits(monkeypatch):
+    # refused before the table exists: at 2^31 it would be 8 GiB
+    def no_table(*args):
+        raise AssertionError("the sieve table was allocated")
+
+    monkeypatch.setattr(arith, "array", no_table)
+    assert arith.SIEVE_LIMIT_MAX == 2 ** 31 - 1
+    with pytest.raises(ValueError, match="SIEVE_LIMIT_MAX = 2147483647"):
+        build_sieve(2 ** 31)
 
 
 def _assert_primes_upto(n):
@@ -159,6 +171,14 @@ def test_squarefree_in_class_bruteforce(m, X):
 def test_squarefree_in_class_requires_coprime():
     with pytest.raises(ValueError):
         squarefree_in_class_count(100, 50, 2, 4)
+
+
+@pytest.mark.parametrize("X, Y", [(0, 1), (-5, 10), (10, -1)])
+def test_squarefree_in_class_checks_its_window(X, Y):
+    # a window holding 0, or an inverted one, is named, not left to factor()
+    with pytest.raises(ValueError, match=rf"X >= 1 and Y >= 0, "
+                                         rf"got X = {X}, Y = {Y}$"):
+        squarefree_in_class_count(X, Y, 0, 1)
 
 
 # -- sieve ownership ----------------------------------------------------------

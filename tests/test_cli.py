@@ -251,6 +251,24 @@ def test_density_past_its_y_bound_exits_2_at_once(args, bound):
         f"{'Bessel' if 'bessel' in args else 'Chebyshev'} form"]
 
 
+def test_density_grid_past_its_work_bound_exits_2_at_once():
+    """1e5 points, each inside CHEBYSHEV_YMAX, would each take 2e4 passes
+    of the r-loop; the array is refused within a second."""
+    code = ("import sys, time\n"
+            "from murmurations import cli\n"
+            "t = time.perf_counter()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - t)\n")
+    res = subprocess.run([sys.executable, "-c", code, "density", "--k", "2",
+                          "--y-grid", "1:1e8:1e3"], capture_output=True,
+                         text=True, timeout=60)
+    rc, seconds = res.stdout.split()
+    assert rc == "2" and float(seconds) < 1.0
+    assert res.stderr.strip().splitlines() == [
+        "murmur density: 100000 points up to y = 9.9999e+07 make "
+        "1999900000 point-r terms, more than CHEBYSHEV_WORK_MAX = 50000000"]
+
+
 def test_density_grid_rows_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["density", "--k", "2", "--y-grid", "0:0.2:0.01"]
@@ -456,6 +474,25 @@ def test_pinned_digests_match_benchmark_reference():
 
 
 # -- start-up cost ----------------------------------------------------------
+
+def test_cli_import_loads_every_traced_module():
+    """perfbench/tracer.py wraps the modules in its MODULES tuple after
+    `import murmurations.cli`; a module that import leaves unloaded would
+    fail every traced benchmark step with a KeyError."""
+    tracer = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    (modules,) = [ast.literal_eval(n.value)
+                  for n in ast.parse(tracer.read_text()).body
+                  if isinstance(n, ast.Assign)
+                  and [t.id for t in n.targets] == ["MODULES"]]
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import murmurations.cli, sys; print(*sorted(m for m in "
+         "sys.modules if m.startswith('murmurations.')))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = set(res.stdout.split())
+    assert modules and {f"murmurations.{m}" for m in modules} <= loaded
+
 
 def test_cli_import_does_not_load_scipy():
     """scipy.special costs ~0.3 s of start-up and no command needs it."""

@@ -140,6 +140,22 @@ def test_q_weighted_sums_holds_one_array():
     assert peak <= 8 * (T + 1) + 2 * 2 ** 20
 
 
+def test_q_table_sieves_before_it_allocates():
+    # the primes are sieved before q exists, so the peak is q, the primes
+    # and the block temporaries; with q first the sieve's ~1.1 MB of flags
+    # and copies would sit on top of it
+    T = 10 ** 6
+    primes = primes_upto(T).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        q_table(T)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (T + 1) + primes + 2 ** 19
+
+
 def test_qcount_routes_agree():
     exact = sum(Q(d) for d in range(1, 61))
     assert q_weighted_sums(60)[0] == pytest.approx(float(exact), rel=1e-13)

@@ -14,6 +14,7 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from murmurations import density
 from murmurations.constants import euler_constant
 from murmurations.multfns import Q, nu
 from murmurations.density import (ASYMPTOTIC_DMAX, ASYMPTOTIC_SMAX, MAX_DEPTH,
@@ -279,6 +280,18 @@ def test_array_density_matches_float_loop(k):
     assert murmuration_density(cfg, np.array(ys)).tolist() == want
     with pytest.raises(ValueError, match="positive"):
         murmuration_density(cfg, np.array([1.0, 0.0]))
+
+
+def test_chebyshev_refuses_an_array_past_its_work_bound(monkeypatch):
+    # 25 points up to y = 4 make 25 x floor(2 sqrt 4) = 100 point-r terms
+    cfg = DensityConfig(k=24)
+    monkeypatch.setattr(density, "CHEBYSHEV_WORK_MAX", 100)
+    ys = np.linspace(0.16, 4.0, 25)
+    assert murmuration_density(cfg, ys).tolist() == \
+        [murmuration_density(cfg, y) for y in ys]
+    with pytest.raises(ValueError, match=r"^26 points up to y = 4 make 104 "
+                       r"point-r terms, more than CHEBYSHEV_WORK_MAX = 100$"):
+        murmuration_density(cfg, np.append(ys, 0.5))
 
 
 def test_continuity_at_kinks():
