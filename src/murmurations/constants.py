@@ -12,6 +12,7 @@ of the exact per-prime factors.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain
@@ -83,6 +84,25 @@ ZETA_3_2 = 2.6123753486854886
 _BLOCK = 8192
 
 
+# The prime arrays some caller still holds, by pmax.
+_HELD_PRIMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def shared_primes(pmax: int) -> np.ndarray:
+    """primes_upto(pmax), read-only.  While any caller holds the array,
+    every call with the same pmax returns it instead of sieving again;
+    once none does it is freed, so a process that holds none keeps no
+    prime array between calls.  verify-constants holds the primes to 10^6
+    while its Q sums, seven Euler products and partial product read them:
+    one sieve where there were nine."""
+    ps = _HELD_PRIMES.get(pmax)
+    if ps is None:
+        ps = primes_upto(pmax)
+        ps.flags.writeable = False
+        _HELD_PRIMES[pmax] = ps
+    return ps
+
+
 @lru_cache(maxsize=None)
 def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
     """Truncated Euler product for one of the named constants.
@@ -105,7 +125,7 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
     scale, f, c = _KINDS[kind]
-    ps = primes_upto(pmax)
+    ps = shared_primes(pmax)
     blocks = (ps[i:i + _BLOCK].astype(np.float64)
               for i in range(0, len(ps), _BLOCK))
     # a memoryview yields Python floats without building a list of them
@@ -122,35 +142,33 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
 # Partial sums of Q
 # ---------------------------------------------------------------------------
 
-def _q_prime(p: int) -> float:
-    """Q(p) = p^2/(p^4 - 2p^2 - p + 1), the correctly rounded quotient."""
-    return p * p / (p ** 4 - 2 * p * p - p + 1)
-
-
 def q_table(T: int) -> np.ndarray:
     """Q(d) for 0 <= d <= T as floats (Q(0) := 0), built multiplicatively.
 
     Q(d) = mu^2(d) prod_{p|d} p^2/(p^4 - 2p^2 - p + 1).
 
-    Primes up to sqrt(T) multiply in one slice each, in increasing order.
-    A d <= T has at most one prime factor above sqrt(T), and it comes
-    last; for each multiplier m those primes p with m p <= T are applied
-    in one indexed multiply, a block of _BLOCK primes at a time.
+    Q(p) = p^2/(p^4 - 2p^2 - p + 1) is the correctly rounded quotient of
+    Python ints.  Primes up to sqrt(T) multiply in one slice each, in
+    increasing order.  A d <= T has at most one prime factor above
+    sqrt(T), and it comes last; for each multiplier m those primes p with
+    m p <= T are applied in one indexed multiply, a block of _BLOCK
+    primes at a time.
 
     The primes are sieved before q is allocated, so the sieve's flags and
     temporaries are freed before the (T + 1)-length array exists and the
     peak holds only q and the primes; the multiplies are unchanged.
     """
-    ps = primes_upto(T)
+    ps = shared_primes(T)
     split = int(np.searchsorted(ps, math.isqrt(T), side="right"))
     q = np.ones(T + 1)
     q[0] = 0.0
     for p in ps[:split].tolist():
-        q[p::p] *= _q_prime(p)
+        q[p::p] *= p * p / (p ** 4 - 2 * p * p - p + 1)
         q[p * p::p * p] = 0.0
     for i in range(split, len(ps), _BLOCK):
         block = ps[i:i + _BLOCK]
-        factor = np.fromiter(map(_q_prime, memoryview(block)),
+        factor = np.fromiter((p * p / (p ** 4 - 2 * p * p - p + 1)
+                              for p in memoryview(block)),
                              dtype=np.float64, count=len(block))
         for m in range(1, T // int(block[0]) + 1):
             k = int(np.searchsorted(block, T // m, side="right"))
@@ -175,7 +193,7 @@ def q_weighted_sums(T: int) -> tuple[float, float]:
 def qsqrt_product(pmax: int) -> float:
     """prod_{p <= pmax} (1 + Q(p) sqrt(p)), an upper-bound generator for
     sum_d Q(d) sqrt(d) as pmax grows (the 3.0907 constant)."""
-    ps = primes_upto(pmax).astype(np.float64)
+    ps = shared_primes(pmax).astype(np.float64)
     qp = ps * ps / (ps ** 4 - 2 * ps * ps - ps + 1)
     return float(math.exp(np.log1p(qp * np.sqrt(ps)).sum()))
 

@@ -34,16 +34,25 @@ from .parallel import cpu_map
 # s <= ASYMPTOTIC_SMAX.
 ASYMPTOTIC_DMAX = 2000
 ASYMPTOTIC_SMAX = 4000
-# Rows of d per universal_asymptotic task: 32 x 4000 float64, 1 MB for L2.
+# Rows of d per universal_asymptotic block: 32 x 4000 float64, 1 MB for L2.
 _ASYMPTOTIC_BLOCK = 32
+# The most values of T one universal_asymptotic call takes: a T costs
+# 40-70 ms of one CPU, so 300 take 6-10 s on a 2-core VM.
+ASYMPTOTIC_POINTS_MAX = 300
 
-# The largest y the Chebyshev and Bessel forms accept: their loops over
-# r or d <= 2 sqrt(y) take 7-11 s there on a 2-core VM.
+# The largest y the Chebyshev and Bessel forms accept: at k = 24 one y
+# there takes about 11 s and 4 s on a 2-core VM.
 CHEBYSHEV_YMAX, BESSEL_YMAX = 1e10, 1e6
-# The most point-r terms, size x floor(2 sqrt(max y)), one Chebyshev call
-# takes on: at k = 24 a term costs 60-190 ns on a 2-core VM, so an array
-# of 10^3 to 10^6 points at this bound takes 6-10 s.
-CHEBYSHEV_WORK_MAX = 50_000_000
+# A Chebyshev call passes over the whole array once per r <= 2 sqrt(max y);
+# at k = 24 a pass costs about 55 us plus 60-190 ns a point on a 2-core VM.
+# Charging each pass CHEBYSHEV_R_COST points, a call takes on at most
+# (size + CHEBYSHEV_R_COST) x floor(2 sqrt(max y)) <= CHEBYSHEV_WORK_MAX
+# point-r terms: one y up to 10^10 (11 s), or 10^6 points up to 600 (6 s).
+CHEBYSHEV_WORK_MAX, CHEBYSHEV_R_COST = 50_000_000, 200
+# A Bessel call takes on at most BESSEL_WORK_MAX point-d terms,
+# size x floor(2 sqrt(max y)), at 0.4 ms a term up to y = 4 and 1.9 ms at
+# y = 10^6 (k = 24, 2-core VM); BESSEL_BATCH quadratures share a bisection.
+BESSEL_WORK_MAX, BESSEL_BATCH = 5000, 16
 
 # Absolute tolerance of every quadrature behind the density, and the
 # bisection depth at which adaptive_quadrature gives up on a panel.
@@ -118,41 +127,61 @@ _WG15[1:14:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # embedded Gauss
 def adaptive_quadrature(f, a: float, b: float, tol: float,
                         breakpoints: tuple[float, ...] = ()
                         ) -> tuple[float, float]:
-    """Integrate a vectorized callable on [a, b] to absolute tolerance tol.
+    """Integrate a vectorized callable f(x) on [a, b] to absolute
+    tolerance tol: adaptive_quadrature_batch on a batch of one.
+    Returns (value, accumulated error estimate)."""
+    (value,), (error,) = adaptive_quadrature_batch(
+        lambda x, _: f(x), [(a, b, breakpoints)], tol)
+    return value, error
 
-    The interval is pre-split at every interior breakpoint (integrand kinks
-    and singular points must be listed there); each piece is then bisected
-    adaptively with the Gauss-Kronrod 7-15 error estimate, down to
-    MAX_DEPTH bisections.  Returns (value, accumulated error estimate);
-    a panel still above its tolerance at MAX_DEPTH raises ValueError.
 
-    The panels of all pieces are bisected together, a level at a time:
-    f is called once per level on the 1-D array of every open panel's 15
-    nodes, so it must act elementwise.  np.vecdot of those rows gives each
-    K15 and G7 with the bits of a per-row np.dot; the accepted panels are
-    summed one by one in the order a depth-first, right-half-first
-    bisection accepts them (pieces ascending, then descending left end),
-    so value and error are bit-identical to that panel-at-a-time loop.
-    Of the panels still open at MAX_DEPTH, the error names the one that
-    loop reaches first: the rightmost in the lowest piece.
+def adaptive_quadrature_batch(f, limits, tol: float
+                              ) -> tuple[list[float], list[float]]:
+    """Integrate one integral per (a, b, breakpoints) of limits, each to
+    absolute tolerance tol.  Returns the list of values and the list of
+    accumulated error estimates.
+
+    Each interval is pre-split at its interior breakpoints (integrand
+    kinks and singular points must be listed there); each piece is then
+    bisected adaptively with the Gauss-Kronrod 7-15 error estimate, down to
+    MAX_DEPTH bisections; a panel still above its tolerance at MAX_DEPTH
+    raises ValueError.
+
+    The panels of every piece of every integral are bisected together, a
+    level at a time: f(x, i) is called once per level on the 1-D array x
+    of every open panel's 15 nodes and the array i of each node's integral
+    index, so it must act elementwise.  np.vecdot of those rows gives each
+    K15 and G7 with the bits of a per-row np.dot.  Each integral's accepted
+    panels are summed one by one in the order a depth-first,
+    right-half-first bisection of that integral alone accepts them (pieces
+    ascending, then descending left end), so its value and error are
+    bit-identical to that panel-at-a-time loop.  Of the panels still open
+    at MAX_DEPTH, the error names the one that loop reaches first in the
+    lowest failing integral: the rightmost in its lowest piece.
     """
-    pts = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    width = b - a
-    piece = np.arange(len(pts) - 1)
-    x0 = np.array(pts[:-1], dtype=np.float64)
-    x1 = np.array(pts[1:], dtype=np.float64)
-    accepted = []                       # (piece, x0, value, error)
+    owner, x0, x1 = [], [], []
+    for i, (a, b, bps) in enumerate(limits):
+        pts = sorted({a, b, *(p for p in bps if a < p < b)})
+        owner += [i] * (len(pts) - 1)
+        x0 += pts[:-1]
+        x1 += pts[1:]
+    owner = np.array(owner, dtype=np.intp)
+    x0, x1 = np.array(x0, dtype=np.float64), np.array(x1, dtype=np.float64)
+    width = np.array([b - a for a, b, _ in limits], dtype=np.float64)
+    piece = np.arange(len(owner))
+    accepted = []                       # (piece, x0, value, error) arrays
     depth = 0
     while len(piece):
         half = 0.5 * (x1 - x0)
         mid = 0.5 * (x0 + x1)
-        ys = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+        index = owner[piece]
+        ys = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel(),
+                          np.repeat(index, len(_NODES))))
         ys = ys.reshape(len(piece), len(_NODES))
         k15 = half * np.vecdot(ys, _WK)
         err = np.abs(k15 - half * np.vecdot(ys, _WG15))
-        ok = err <= tol * np.maximum((x1 - x0) / width, 1e-6)
-        accepted += zip(piece[ok].tolist(), x0[ok].tolist(),
-                        k15[ok].tolist(), err[ok].tolist())
+        ok = err <= tol * np.maximum((x1 - x0) / width[index], 1e-6)
+        accepted.append((piece[ok], x0[ok], k15[ok], err[ok]))
         piece, x0, x1 = piece[~ok], x0[~ok], x1[~ok]
         if len(piece) and depth == MAX_DEPTH:
             _, lo, hi = min(zip(piece.tolist(), x0.tolist(), x1.tolist()),
@@ -163,12 +192,15 @@ def adaptive_quadrature(f, a: float, b: float, tol: float,
         piece = np.concatenate([piece, piece])
         x0, x1 = np.concatenate([x0, xm]), np.concatenate([xm, x1])
         depth += 1
-    total = 0.0
-    err_total = 0.0
-    for _, _, val, err in sorted(accepted, key=lambda t: (t[0], -t[1])):
-        total += val
-        err_total += err
-    return total, err_total
+    values, errors = [0.0] * len(limits), [0.0] * len(limits)
+    if accepted:
+        piece, x0, val, err = map(np.concatenate, zip(*accepted))
+        order = np.lexsort((-x0, piece))
+        for i, v, e in zip(owner[piece[order]].tolist(),
+                           val[order].tolist(), err[order].tolist()):
+            values[i] += v
+            errors[i] += e
+    return values, errors
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +215,9 @@ def murmuration_density(cfg: DensityConfig, y):
              + (beta/(k-1)) sqrt(y) - gamma [k=2] y.
 
     An r past 2 sqrt(y) adds +-0, so each entry keeps its float's bits.
-    Every r is a pass over the whole array, so an array whose size times
-    floor(2 sqrt(max y)) exceeds CHEBYSHEV_WORK_MAX is refused.
+    Every r is a pass over the whole array, so an array whose size plus
+    CHEBYSHEV_R_COST, times floor(2 sqrt(max y)), exceeds
+    CHEBYSHEV_WORK_MAX is refused.
     """
     y = np.asarray(y, dtype=np.float64)
     if (y <= 0).any():
@@ -194,10 +227,12 @@ def murmuration_density(cfg: DensityConfig, y):
                          f"{CHEBYSHEV_YMAX:g} for the Chebyshev form")
     two_sqrt_y = 2.0 * np.sqrt(y)
     rmax = int(two_sqrt_y.max(initial=0.0))
-    if y.size * rmax > CHEBYSHEV_WORK_MAX:
-        raise ValueError(f"{y.size} points up to y = {y.max():g} make "
-                         f"{y.size * rmax} point-r terms, more than "
-                         f"CHEBYSHEV_WORK_MAX = {CHEBYSHEV_WORK_MAX}")
+    work = (y.size + CHEBYSHEV_R_COST) * rmax
+    if work > CHEBYSHEV_WORK_MAX:
+        raise ValueError(f"{y.size} points up to y = {y.max():g} cost "
+                         f"({y.size} + CHEBYSHEV_R_COST) x {rmax} = {work} "
+                         f"point-r terms, more than CHEBYSHEV_WORK_MAX = "
+                         f"{CHEBYSHEV_WORK_MAX}")
     k = cfg.k
     al, be, ga = (euler_constant(kind, cfg.pmax).value
                   for kind in ("alpha", "beta", "gamma"))
@@ -216,9 +251,10 @@ def murmuration_density(cfg: DensityConfig, y):
 # The Bessel-series form of M_k
 # ---------------------------------------------------------------------------
 
-def _summed_kernel_integrand(order: int, c: float):
+def _summed_kernel_integrand(order: int, c):
     """Vectorized integrand whose integral over [0, pi] (divided by pi) is
-    sum_{s>=1} J_order(c s)/s.
+    sum_{s>=1} J_order(c s)/s; c is a float, or an array holding the c of
+    each node.
 
     From J_n(z) = (1/pi) int_0^pi cos(n t - z sin t) dt and the Fourier
     series sum cos(su)/s = -log|2 sin(u/2)|, sum sin(su)/s = (pi - u)/2
@@ -233,35 +269,57 @@ def _summed_kernel_integrand(order: int, c: float):
     return f
 
 
-def bessel_inner_sum(order: int, c: float) -> tuple[float, float]:
-    """sum_{s>=1} J_order(c s)/s, summed in closed form.  Returns
-    (value, error estimate).
-
-    For odd order and c <= 2 pi the kernel integral evaluates exactly:
-    1/order, minus c/4 when order = 1 (the odd-symmetry of cos(n t) about
-    t = pi/2 kills every remaining term).  Beyond 2 pi the wrapped kernel
-    is integrated by adaptive quadrature with breakpoints at every theta
-    with c sin(theta) = 2 pi j, where the log kernel is singular.
-    """
-    if c <= 0:
-        raise ValueError("c must be positive")
-    if order % 2 == 1 and c <= 2.0 * math.pi:
-        return 1.0 / order - (c / 4.0 if order == 1 else 0.0), 0.0
+def _kernel_breakpoints(c: float) -> tuple[float, ...]:
+    """Every theta in (0, pi) with c sin(theta) = 2 pi j, j >= 1, where
+    the log kernel is singular."""
     bps = []
     j = 1
     while 2.0 * math.pi * j < c:
         t = math.asin(2.0 * math.pi * j / c)
         bps += [t, math.pi - t]
         j += 1
-    val, err = adaptive_quadrature(_summed_kernel_integrand(order, c),
-                                   0.0, math.pi, QUAD_TOL, tuple(bps))
-    return val / math.pi, err / math.pi
+    return tuple(bps)
 
 
-def murmuration_density_bessel(cfg: DensityConfig, y: float
-                               ) -> tuple[float, float]:
+def bessel_inner_sum(order: int, c):
+    """sum_{s>=1} J_order(c s)/s, summed in closed form, of a float c or of
+    each entry of an array_like c.  Returns (value, error estimate), floats
+    or arrays of c's shape.
+
+    For odd order and c <= 2 pi the kernel integral evaluates exactly:
+    1/order, minus c/4 when order = 1 (the odd-symmetry of cos(n t) about
+    t = pi/2 kills every remaining term).  Beyond 2 pi the wrapped kernel
+    is integrated by adaptive quadrature with breakpoints at every theta
+    with c sin(theta) = 2 pi j, where the log kernel is singular.  The
+    quadratures go to adaptive_quadrature_batch BESSEL_BATCH at a time, so
+    memory stays bounded however many c there are; each result has the
+    bits of a one-integral call.
+    """
+    cs = np.asarray(c, dtype=np.float64)
+    if not (cs > 0).all():
+        raise ValueError("c must be positive")
+    flat = cs.ravel()
+    value = np.full(flat.shape, 1.0 / order)
+    if order == 1:
+        value -= flat / 4.0
+    error = np.zeros(flat.shape)
+    quad = np.flatnonzero((order % 2 == 0) | (flat > 2.0 * math.pi))
+    for lo in range(0, len(quad), BESSEL_BATCH):
+        js = quad[lo:lo + BESSEL_BATCH]
+        batch = flat[js]
+        value[js], error[js] = np.divide(adaptive_quadrature_batch(
+            lambda theta, i: _summed_kernel_integrand(order, batch[i])(theta),
+            [(0.0, math.pi, _kernel_breakpoints(cj)) for cj in batch.tolist()],
+            QUAD_TOL), math.pi)
+    if cs.ndim:
+        return value.reshape(cs.shape), error.reshape(cs.shape)
+    return float(value[0]), float(error[0])
+
+
+def murmuration_density_bessel(cfg: DensityConfig, y):
     """M_k(y) = alpha sqrt(y) sum_{d,s} Q(d) J_{k-1}(4 pi s sqrt(y)/d)/s,
-    with the s-series summed in closed form.  Returns (value, tail_bound).
+    with the s-series summed in closed form, of a float or an array_like y.
+    Returns (value, tail_bound), floats or arrays of y's shape.
 
     For every d > 2 sqrt(y) the inner sum is exactly 1/(k-1) (minus a
     linear term when k = 2), so the d-tail collapses onto the certified
@@ -269,49 +327,66 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
     sum Q(d)/d = gamma/(alpha pi); only d <= 2 sqrt(y) need quadrature.
     The k=2 linear pieces reassemble exactly the -gamma y term of the
     Chebyshev form, so no separate subtraction appears here.
+
+    The inner sums of every (y, d) go to one bessel_inner_sum call and
+    each y adds its terms in d order, so every entry has the bits of a
+    one-y call.  A grid whose size times floor(2 sqrt(max y)) exceeds
+    BESSEL_WORK_MAX is refused before any quadrature.
     """
-    if y <= 0:
+    ys = np.asarray(y, dtype=np.float64)
+    if (ys <= 0).any():
         raise ValueError("y must be positive")
-    if not y <= BESSEL_YMAX:
+    if not (ys <= BESSEL_YMAX).all():
         raise ValueError(f"y must be finite and at most BESSEL_YMAX = "
                          f"{BESSEL_YMAX:g} for the Bessel form")
-    k = cfg.k
-    order = k - 1
-    sy = math.sqrt(y)
+    flat = ys.ravel().tolist()
+    work = len(flat) * int(2.0 * math.sqrt(max(flat, default=0.0)))
+    if work > BESSEL_WORK_MAX:
+        raise ValueError(f"{len(flat)} points up to y = {max(flat):g} make "
+                         f"{work} point-d terms, more than "
+                         f"BESSEL_WORK_MAX = {BESSEL_WORK_MAX}")
+    order = cfg.k - 1
     al, be, ga = (euler_constant(kind, cfg.pmax)
                   for kind in ("alpha", "beta", "gamma"))
+    inner = zip(*(a.tolist() for a in bessel_inner_sum(order, [
+        4.0 * math.pi * math.sqrt(v) / d for v in flat
+        for d in range(1, int(2.0 * math.sqrt(v)) + 1) if Q(d)])))
 
-    d0 = int(2.0 * sy)
-    head = 0.0
-    quad_err = 0.0
-    s_q = Fraction(0)
-    s_qd = Fraction(0)
-    for d in range(1, d0 + 1):
-        q = Q(d)
-        s_q += q
-        s_qd += q / d
-        if q == 0:
-            continue
-        v, e = bessel_inner_sum(order, 4.0 * math.pi * sy / d)
-        head += float(q) * v
-        quad_err += float(q) * e
+    values, bounds = [], []
+    for v in flat:
+        sy = math.sqrt(v)
+        head = 0.0
+        quad_err = 0.0
+        s_q = Fraction(0)
+        s_qd = Fraction(0)
+        for d in range(1, int(2.0 * sy) + 1):
+            q = Q(d)
+            s_q += q
+            s_qd += q / d
+            if q:
+                vd, ed = next(inner)
+                head += float(q) * vd
+                quad_err += float(q) * ed
 
-    q_total = be.value / al.value
-    q_total_err = q_total * (be.tail_bound / be.value
-                             + al.tail_bound / al.value)
-    tail = (q_total - float(s_q)) / order
-    bracket = q_total_err / order
-    if order == 1:
-        qd_total = ga.value / (al.value * math.pi)
-        qd_total_err = qd_total * (ga.tail_bound / ga.value
-                                   + al.tail_bound / al.value)
-        tail -= math.pi * sy * (qd_total - float(s_qd))
-        bracket += math.pi * sy * qd_total_err
+        q_total = be.value / al.value
+        q_total_err = q_total * (be.tail_bound / be.value
+                                 + al.tail_bound / al.value)
+        tail = (q_total - float(s_q)) / order
+        bracket = q_total_err / order
+        if order == 1:
+            qd_total = ga.value / (al.value * math.pi)
+            qd_total_err = qd_total * (ga.tail_bound / ga.value
+                                       + al.tail_bound / al.value)
+            tail -= math.pi * sy * (qd_total - float(s_qd))
+            bracket += math.pi * sy * qd_total_err
 
-    value = al.value * sy * (head + tail)
-    tail_bound = al.value * sy * (quad_err + bracket)
-    tail_bound += abs(value) * al.tail_bound / al.value
-    return value, tail_bound
+        value = al.value * sy * (head + tail)
+        tail_bound = al.value * sy * (quad_err + bracket)
+        values.append(value)
+        bounds.append(tail_bound + abs(value) * al.tail_bound / al.value)
+    if ys.ndim:
+        return np.reshape(values, ys.shape), np.reshape(bounds, ys.shape)
+    return values[0], bounds[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +394,30 @@ def murmuration_density_bessel(cfg: DensityConfig, y: float
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _asymptotic_terms() -> tuple[np.ndarray, tuple[float, ...]]:
-    """The d <= ASYMPTOTIC_DMAX with Q(d) != 0, as float64, and their
-    weights q_sqrt_weights, which vanish exactly where Q(d) does."""
+def _asymptotic_terms() -> tuple[np.ndarray, tuple[float, ...], list]:
+    """The d <= ASYMPTOTIC_DMAX with Q(d) != 0, as float64, their weights
+    q_sqrt_weights, which vanish exactly where Q(d) does, and blocks of
+    their positions: (positions of odd d, positions of their 2d), the
+    second as long as the first or empty.  Every even d is such a 2d."""
     weights = q_sqrt_weights(range(1, ASYMPTOTIC_DMAX + 1))
     ds = [d for d, w in enumerate(weights, 1) if w]
-    return np.array(ds, dtype=np.float64), tuple(w for w in weights if w)
+    at = {d: i for i, d in enumerate(ds)}
+    twice = [d for d in ds if d % 2 and 2 * d in at]
+    alone = [d for d in ds if d % 2 and 2 * d not in at]
+    n = _ASYMPTOTIC_BLOCK // 2
+    blocks = [([at[d] for d in twice[i:i + n]],
+               [at[2 * d] for d in twice[i:i + n]])
+              for i in range(0, len(twice), n)]
+    blocks += [([at[d] for d in alone[i:i + 2 * n]], [])
+               for i in range(0, len(alone), 2 * n)]
+    return (np.array(ds, dtype=np.float64), tuple(w for w in weights if w),
+            [(np.array(k, dtype=np.intp), np.array(k2, dtype=np.intp))
+             for k, k2 in blocks])
 
 
-def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
+def universal_asymptotic(T, cfg: DensityConfig):
     """The weight-independent oscillation profile in the T = sqrt(y)
-    coordinate:
+    coordinate, of a float or an array_like T:
 
         (-1)^(k/2-1) (alpha / (pi sqrt(2))) sum_{d<=ASYMPTOTIC_DMAX} Q(d)
             sqrt(d) sum_{s<=ASYMPTOTIC_SMAX} cos(4 pi s T / d - 3 pi/4)
@@ -341,34 +429,54 @@ def universal_asymptotic(T: float, cfg: DensityConfig) -> float:
     dependence is the global sign alone (the standard large-argument phase
     of J_{k-1} evaluates to (-1)^(k/2-1) cos(z - 3 pi/4) for even k).
 
-    The d with Q(d) != 0 are split into blocks of _ASYMPTOTIC_BLOCK;
-    cpu_map's pool, one worker per CPU this process may run on, builds
-    each block's phase matrix (1 MB: it fits a 2 MB L2), takes its cosines
-    in place (numpy releases the GIL there) and takes each row's np.vecdot
-    with s^(-3/2), which has the bits of a per-row np.dot.  The main thread
-    adds the weighted row sums in d order, so the value is bit-identical
-    to a one-d-at-a-time loop, and peak memory is one block per worker.
+    cpu_map's pool, one worker per CPU this process may run on, takes one
+    whole T at a time.  The worker walks the d with Q(d) != 0 in blocks of
+    _ASYMPTOTIC_BLOCK rows through its own 1 MB phase buffer (it fits a
+    2 MB L2), takes the cosines in place (numpy releases the GIL there)
+    and each row's np.vecdot with s^(-3/2), which has the bits of a
+    per-row np.dot.  A row of d = 2k at s = 2j repeats the row of k at
+    s = j bit for bit (the float (4 pi T)/(2k) is (4 pi T)/k halved
+    exactly), so it is copied, not recomputed: a sixth of the cosines.
+    The weighted row sums are added in d order, so every value is
+    bit-identical to a one-d-at-a-time loop, and peak memory is one buffer
+    per worker.  More than ASYMPTOTIC_POINTS_MAX values of T are refused.
     """
-    if T <= 0:
+    Ts = np.asarray(T, dtype=np.float64)
+    if (Ts <= 0).any():
         raise ValueError("T must be positive")
+    if Ts.size > ASYMPTOTIC_POINTS_MAX:
+        raise ValueError(f"{Ts.size} points are more than "
+                         f"ASYMPTOTIC_POINTS_MAX = {ASYMPTOTIC_POINTS_MAX} "
+                         f"for the asymptotic form")
     al = euler_constant("alpha", cfg.pmax).value
-    ds, weights = _asymptotic_terms()
+    ds, weights, blocks = _asymptotic_terms()
     s = np.arange(1, ASYMPTOTIC_SMAX + 1, dtype=np.float64)
     sw = s ** -1.5
-    freq = (4.0 * math.pi * T) / ds
+    scale = _sign(cfg.k) * al / (math.pi * math.sqrt(2.0))
 
-    def row_sums(lo: int) -> list[float]:
-        phases = freq[lo:lo + _ASYMPTOTIC_BLOCK, None] * s
-        phases -= 0.75 * math.pi
-        np.cos(phases, out=phases)
-        return np.vecdot(phases, sw).tolist()
+    def profile(t: float) -> float:
+        freq = (4.0 * math.pi * t) / ds
+        buffer = np.empty((_ASYMPTOTIC_BLOCK, ASYMPTOTIC_SMAX))
+        dots = np.empty(len(ds))
+        for k, k2 in blocks:                # rows k, then any rows 2k
+            head, tail = buffer[:len(k)], buffer[len(k):len(k) + len(k2)]
+            odd_s = tail[:, ::2]
+            np.multiply(freq[k, None], s, out=head)
+            np.multiply(freq[k2, None], s[::2], out=odd_s)
+            head -= 0.75 * math.pi
+            odd_s -= 0.75 * math.pi
+            np.cos(head, out=head)
+            np.cos(odd_s, out=odd_s)
+            tail[:, 1::2] = head[:len(k2), :ASYMPTOTIC_SMAX // 2]
+            dots[k] = np.vecdot(head, sw)
+            dots[k2] = np.vecdot(tail, sw)
+        total = 0.0
+        for w, dot in zip(weights, dots.tolist()):
+            total += w * dot
+        return scale * total
 
-    blocks = cpu_map(row_sums, range(0, len(ds), _ASYMPTOTIC_BLOCK))
-    total = 0.0
-    dots = (dot for block in blocks for dot in block)
-    for w, dot in zip(weights, dots):
-        total += w * dot
-    return _sign(cfg.k) * al / (math.pi * math.sqrt(2.0)) * total
+    values = cpu_map(profile, Ts.ravel().tolist())
+    return np.reshape(values, Ts.shape) if Ts.ndim else values[0]
 
 
 # ---------------------------------------------------------------------------

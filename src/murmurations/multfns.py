@@ -13,6 +13,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import kronecker, shared_sieve
 
 
@@ -122,18 +124,29 @@ def _theta_local(p: int, a: int, r: int) -> int:
 
 
 @functools.cache
-def _kronecker_row(m: int) -> tuple[int, ...]:
-    """(a|m) for 0 <= a < m; row[n % m] == (n|m) for m odd or 8 | m."""
-    return tuple(kronecker(a, m) for a in range(m))
+def _kronecker_row(m: int) -> np.ndarray:
+    """(a|m) for 0 <= a < m as a read-only int64 array; row[n % m] == (n|m)
+    for m odd or 8 | m."""
+    row = np.array([kronecker(a, m) for a in range(m)], dtype=np.int64)
+    row.flags.writeable = False
+    return row
 
 
-def theta_bruteforce(r: int, m: int, P: int) -> int:
-    """Direct evaluation of the defining character sum."""
+def theta_bruteforce(r, m: int, P: int):
+    """Direct evaluation of the defining character sum
+    sum_{a mod m} (a|m)((a r^2 - 4P)|m), for an int r or for each entry of
+    an array_like r (an int64 array of r's shape).
+
+    Each sum is an int64 index sum over the Kronecker row of m; r is
+    reduced mod m as Python ints and every index mod m before it is
+    multiplied, so no product reaches m^2 and the sums are exact."""
     _check_v2(m, "m")
-    r2 = r * r
-    fourP = 4 * P
     row = _kronecker_row(m)
-    return sum(row[a] * row[(a * r2 - fourP) % m] for a in range(m))
+    r = np.asarray(np.asarray(r, dtype=object) % m, dtype=np.int64)
+    a = np.arange(m, dtype=np.int64)
+    idx = ((r * r % m)[..., None] * a - 4 * P % m) % m
+    total = (row * row[idx]).sum(axis=-1)
+    return total if total.ndim else int(total)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +181,13 @@ def phi_circ(r: int, d: int, g: int, P: int) -> int:
 
 
 def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
-    """Defining sum over a mod d^2 g with a mod d^2 in the residue set."""
+    """Defining sum over a mod d^2 g with a mod d^2 in the residue set:
+    sum over t in the set and 0 <= v < g of (a|g)(s|g), a = t + v d^2,
+    s = (a r^2 - 4P)/d^2.
+
+    For each t, s = s_t + v r^2 with s_t = (t r^2 - 4P)/d^2, so the sum
+    over v is an int64 index sum over the Kronecker row of g, with a and
+    s reduced mod g before v multiplies them."""
     _check_g(g, d)
     rs = remainder_set(r, d, P)
     if not rs.admissible:
@@ -176,13 +195,14 @@ def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
     d2 = d * d
     r2 = r * r
     row = _kronecker_row(g)
+    v = np.arange(g, dtype=np.int64)
     total = 0
     for t in rs.residues:
-        for v in range(g):
-            a = t + v * d2
-            s, rem = divmod(a * r2 - 4 * P, d2)
-            assert rem == 0
-            total += row[a % g] * row[s % g]
+        s_t, rem = divmod(t * r2 - 4 * P, d2)
+        assert rem == 0
+        a_idx = (t % g + v * (d2 % g)) % g
+        s_idx = (s_t % g + v * (r2 % g)) % g
+        total += int((row[a_idx] * row[s_idx]).sum())
     return total
 
 

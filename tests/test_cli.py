@@ -265,8 +265,53 @@ def test_density_grid_past_its_work_bound_exits_2_at_once():
     rc, seconds = res.stdout.split()
     assert rc == "2" and float(seconds) < 1.0
     assert res.stderr.strip().splitlines() == [
-        "murmur density: 100000 points up to y = 9.9999e+07 make "
-        "1999900000 point-r terms, more than CHEBYSHEV_WORK_MAX = 50000000"]
+        "murmur density: 100000 points up to y = 9.9999e+07 cost "
+        "(100000 + CHEBYSHEV_R_COST) x 19999 = 2003899800 point-r terms, "
+        "more than CHEBYSHEV_WORK_MAX = 50000000"]
+
+
+@pytest.mark.parametrize("args, message", [
+    ("--k 24 --y-grid 1e8:1e10:1e8",
+     "100 points up to y = 1e+10 cost (100 + CHEBYSHEV_R_COST) x 200000 = "
+     "60000000 point-r terms, more than CHEBYSHEV_WORK_MAX = 50000000"),
+    ("--form bessel --k 2 --y-grid 1:1e6:1",
+     "1000000 points up to y = 1e+06 make 2000000000 point-d terms, more "
+     "than BESSEL_WORK_MAX = 5000"),
+    ("--form asymptotic --k 2 --y-grid 1:1e6:1",
+     "1000000 points are more than ASYMPTOTIC_POINTS_MAX = 300 for the "
+     "asymptotic form"),
+], ids=["chebyshev-per-r", "bessel", "asymptotic"])
+def test_density_grid_past_its_form_bound_exits_2_at_once(args, message):
+    """Grids each form would still be evaluating after ten seconds (the
+    first has few points, but 2e5 passes of the r-loop) are refused
+    within a second, in a child process timed from after import."""
+    code = ("import sys, time\n"
+            "from murmurations import cli\n"
+            "t = time.perf_counter()\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, time.perf_counter() - t)\n")
+    res = subprocess.run([sys.executable, "-c", code, "density",
+                          *args.split()], capture_output=True, text=True,
+                         timeout=60)
+    rc, seconds = res.stdout.split()
+    assert rc == "2" and float(seconds) < 1.0
+    assert res.stderr.strip().splitlines() == [f"murmur density: {message}"]
+
+
+def test_density_makes_one_call_per_form(monkeypatch, capsys):
+    calls = []
+    for name in ("murmuration_density", "murmuration_density_bessel",
+                 "universal_asymptotic"):
+        def counted(*args, fn=getattr(cli, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    for form in ("chebyshev", "bessel", "asymptotic"):
+        assert cli.main(["density", "--form", form, "--k", "4", "--y-grid",
+                         "0:2:0.25"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+    assert calls == ["murmuration_density", "murmuration_density_bessel",
+                     "universal_asymptotic"]
 
 
 def test_density_grid_rows_and_determinism(tmp_path):

@@ -156,6 +156,25 @@ def test_q_table_sieves_before_it_allocates():
     assert peak <= 8 * (T + 1) + primes + 2 ** 19
 
 
+def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
+    # the seven Euler products, the Q sums and the partial product read one
+    # sieve while the command holds it; afterwards no prime array is kept
+    from murmurations import cli
+    sieves = []
+
+    def counted(n):
+        sieves.append(n)
+        return primes_upto(n)
+    monkeypatch.setattr(constants, "primes_upto", counted)
+    euler_constant.cache_clear()
+    assert cli.main(["verify-constants"]) == 0
+    assert sieves == [10 ** 6]
+    assert len(constants._HELD_PRIMES) == 0
+    euler_constant("alpha", 1000)
+    euler_constant("beta", 1000)
+    assert sieves == [10 ** 6, 1000, 1000]
+
+
 def test_qcount_routes_agree():
     exact = sum(Q(d) for d in range(1, 61))
     assert q_weighted_sums(60)[0] == pytest.approx(float(exact), rel=1e-13)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from murmurations import density
 from murmurations.constants import euler_constant
 from murmurations.multfns import Q, nu
 from murmurations.density import (ASYMPTOTIC_DMAX, ASYMPTOTIC_SMAX, MAX_DEPTH,
-                                  QUAD_TOL, DensityConfig, _kink_breakpoints,
-                                  _NODES, _summed_kernel_integrand,
+                                  QUAD_TOL, DensityConfig, _kernel_breakpoints,
+                                  _kink_breakpoints, _NODES,
+                                  _summed_kernel_integrand,
                                   _WG15, _WK, adaptive_quadrature,
+                                  adaptive_quadrature_batch,
                                   bessel_inner_sum, chebyshev_U,
                                   dyadic_closed_form_constants,
                                   dyadic_closed_form_k2, dyadic_density,
@@ -137,17 +140,6 @@ def _depth_first_quadrature(f, a, b, tol, breakpoints=()):
     return total, err_total
 
 
-def _kernel_breakpoints(c):
-    # the log singularities bessel_inner_sum declares: c sin(t) = 2 pi j
-    bps = []
-    j = 1
-    while 2.0 * math.pi * j < c:
-        t = math.asin(2.0 * math.pi * j / c)
-        bps += [t, math.pi - t]
-        j += 1
-    return tuple(bps)
-
-
 def _dyadic_integrand(k, y):
     cfg = DensityConfig(k=k)
     return lambda u: np.array([ui * murmuration_density(cfg, y / ui)
@@ -192,6 +184,50 @@ def test_adaptive_quadrature_names_the_depth_first_failing_panel():
     assert lo == pytest.approx(0.3, abs=1e-15)
 
 
+def _dispatch(fs):
+    """f(x, i) that evaluates integral i's own integrand fs[i] on its
+    nodes; each integrand acts elementwise, so the bits are its own."""
+    def f(x, i):
+        out = np.empty_like(x)
+        for j, fj in enumerate(fs):
+            out[i == j] = fj(x[i == j])
+        return out
+    return f
+
+
+def test_adaptive_quadrature_batch_matches_single_calls():
+    """One bisection for every QUAD_TOL case of differing limits gives each
+    integral the (value, error) of its own call, to the last bit."""
+    cases = [c() for _, c in _QUADRATURE_CASES]
+    cases = [c for c in cases if c[3] == QUAD_TOL]
+    cases += [(np.cos, 0.0, 0.0, QUAD_TOL, ())]             # empty interval
+    single = [adaptive_quadrature(*c) for c in cases]
+    batch = adaptive_quadrature_batch(
+        _dispatch([c[0] for c in cases]),
+        [(a, b, bps) for _, a, b, _, bps in cases], QUAD_TOL)
+    assert list(zip(*batch)) == single
+    assert single[-1] == (0.0, 0.0)
+    assert adaptive_quadrature_batch(_dispatch([]), [], QUAD_TOL) == ([], [])
+
+
+def test_adaptive_quadrature_batch_names_the_first_failing_integral():
+    jumps = lambda x: 1000.0 * sum(x > j for j in (0.1, 0.3, 0.9))
+    step = lambda x: np.where(x > 1 / 3, 1000.0, 0.0)
+    errors = {}
+    for name, f, a, b, bps in (("jumps", jumps, 0.0, 2.0, (0.55,)),
+                               ("step", step, -1.0, 1.0, ())):
+        with pytest.raises(ValueError) as single:
+            adaptive_quadrature(f, a, b, 1e-9, bps)
+        errors[name] = (f, (a, b, bps), str(single.value))
+    assert errors["jumps"][2] != errors["step"][2]
+    for order in (("jumps", "step"), ("step", "jumps")):
+        fs, limits, _ = zip(*(errors[n] for n in order))
+        with pytest.raises(ValueError) as batch:
+            adaptive_quadrature_batch(_dispatch([np.sin, *fs]),
+                                      [(0.0, 1.0, ()), *limits], 1e-9)
+        assert str(batch.value) == errors[order[0]][2]
+
+
 # -- the summed Bessel kernel ----------------------------------------------
 
 def _inner_sum_oracle(order, c, n=60000):
@@ -217,6 +253,80 @@ def test_inner_sum_against_direct_series():
     for order, c in ((1, 9.0), (3, 7.5), (5, 20.0), (7, 13.0)):
         assert bessel_inner_sum(order, c)[0] == pytest.approx(
             _inner_sum_oracle(order, c), abs=5e-5)
+
+
+def _bessel_loop(cfg, y):
+    """The one-y, one-d-at-a-time sum murmuration_density_bessel replaced,
+    each quadrature by the panel-at-a-time loop."""
+    order = cfg.k - 1
+    al, be, ga = (euler_constant(kind, cfg.pmax)
+                  for kind in ("alpha", "beta", "gamma"))
+    sy = math.sqrt(y)
+    head = quad_err = 0.0
+    s_q = s_qd = Fraction(0)
+    for d in range(1, int(2.0 * sy) + 1):
+        q = Q(d)
+        s_q += q
+        s_qd += q / d
+        if q == 0:
+            continue
+        c = 4.0 * math.pi * sy / d
+        if order % 2 == 1 and c <= 2.0 * math.pi:
+            v, e = 1.0 / order - (c / 4.0 if order == 1 else 0.0), 0.0
+        else:
+            v, e = _depth_first_quadrature(
+                _summed_kernel_integrand(order, c), 0.0, math.pi, QUAD_TOL,
+                _kernel_breakpoints(c))
+            v, e = v / math.pi, e / math.pi
+        head += float(q) * v
+        quad_err += float(q) * e
+    q_total = be.value / al.value
+    q_total_err = q_total * (be.tail_bound / be.value
+                             + al.tail_bound / al.value)
+    tail = (q_total - float(s_q)) / order
+    bracket = q_total_err / order
+    if order == 1:
+        qd_total = ga.value / (al.value * math.pi)
+        qd_total_err = qd_total * (ga.tail_bound / ga.value
+                                   + al.tail_bound / al.value)
+        tail -= math.pi * sy * (qd_total - float(s_qd))
+        bracket += math.pi * sy * qd_total_err
+    value = al.value * sy * (head + tail)
+    tail_bound = al.value * sy * (quad_err + bracket)
+    return value, tail_bound + abs(value) * al.tail_bound / al.value
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_bessel_array_matches_per_y_loop(k):
+    # the density benchmark's first Bessel grid, and y = d^2/4, where the
+    # last d has c = 2 pi: the odd-order closed form (k = 4) serves it
+    cfg = DensityConfig(k=k)
+    ys = ([1 / 36 + 0.25 * i for i in range(17)]
+          + [d * d / 4 for d in range(1, 9)] + [1e-3, 9.87])
+    want = [_bessel_loop(cfg, y) for y in ys]
+    values, bounds = murmuration_density_bessel(cfg, np.array(ys))
+    assert list(zip(values.tolist(), bounds.tolist())) == want
+    assert [murmuration_density_bessel(cfg, y) for y in ys] == want
+    grid = murmuration_density_bessel(cfg, np.reshape(ys[:24], (4, 6)))
+    assert [a.shape for a in grid] == [(4, 6), (4, 6)]
+
+
+def test_bessel_inner_sum_feeds_bounded_batches(monkeypatch):
+    sizes = []
+    batch = density.adaptive_quadrature_batch
+
+    def counted(f, limits, tol):
+        sizes.append(len(limits))
+        return batch(f, limits, tol)
+    monkeypatch.setattr(density, "adaptive_quadrature_batch", counted)
+    cs = np.linspace(0.5, 40.0, 3 * density.BESSEL_BATCH + 5)
+    for order in (2, 3):
+        values, errors = bessel_inner_sum(order, cs)
+        assert list(zip(values.tolist(), errors.tolist())) == \
+            [bessel_inner_sum(order, c) for c in cs.tolist()]
+    quadratures = len(cs) + int((cs > 2 * math.pi).sum())
+    assert sum(sizes) == 2 * quadratures
+    assert max(sizes[:4]) == density.BESSEL_BATCH
 
 
 # -- the two forms of the density ------------------------------------------
@@ -283,15 +393,49 @@ def test_array_density_matches_float_loop(k):
 
 
 def test_chebyshev_refuses_an_array_past_its_work_bound(monkeypatch):
-    # 25 points up to y = 4 make 25 x floor(2 sqrt 4) = 100 point-r terms
+    # 25 points up to y = 4 cost (25 + 200) x floor(2 sqrt 4) = 900
     cfg = DensityConfig(k=24)
-    monkeypatch.setattr(density, "CHEBYSHEV_WORK_MAX", 100)
+    monkeypatch.setattr(density, "CHEBYSHEV_WORK_MAX", 900)
     ys = np.linspace(0.16, 4.0, 25)
     assert murmuration_density(cfg, ys).tolist() == \
         [murmuration_density(cfg, y) for y in ys]
-    with pytest.raises(ValueError, match=r"^26 points up to y = 4 make 104 "
-                       r"point-r terms, more than CHEBYSHEV_WORK_MAX = 100$"):
+    with pytest.raises(ValueError, match=r"^26 points up to y = 4 cost "
+                       r"\(26 \+ CHEBYSHEV_R_COST\) x 4 = 904 point-r terms, "
+                       r"more than CHEBYSHEV_WORK_MAX = 900$"):
         murmuration_density(cfg, np.append(ys, 0.5))
+
+
+class _Accepted(Exception):
+    """Raised in place of the Euler constants, which every form loads only
+    after its bounds pass."""
+
+
+@pytest.mark.parametrize("form, ys, accepted", [
+    # one y at the Chebyshev cap passes; 100 points up to it cost
+    # (100 + 200) x 200000 = 6e7 point-r terms
+    ("chebyshev", [1e10], True),
+    ("chebyshev", np.arange(1e8, 1e10 + 1, 1e8), False),
+    ("chebyshev", np.arange(0.0, 4001) / 1000 + 1 / 9000, True),
+    # 2 points at the Bessel cap make 4000 point-d terms, 3 make 6000
+    ("bessel", [1e6, 1e6], True),
+    ("bessel", [1e6, 1e6, 1e6], False),
+    ("bessel", np.arange(1.0, 1250.5) / 312.5, True),
+    ("asymptotic", np.full(300, 2.0), True),
+    ("asymptotic", np.full(301, 2.0), False),
+])
+def test_density_forms_bound_their_work(monkeypatch, form, ys, accepted):
+    def accept(*args):
+        raise _Accepted
+    monkeypatch.setattr(density, "euler_constant", accept)
+    cfg = DensityConfig(k=24)
+    call = {"chebyshev": lambda: murmuration_density(cfg, ys),
+            "bessel": lambda: murmuration_density_bessel(cfg, ys),
+            "asymptotic": lambda: universal_asymptotic(ys, cfg)}[form]
+    bound = {"chebyshev": "CHEBYSHEV_WORK_MAX", "bessel": "BESSEL_WORK_MAX",
+             "asymptotic": "ASYMPTOTIC_POINTS_MAX"}[form]
+    with pytest.raises(_Accepted if accepted else ValueError) as exc:
+        call()
+    assert accepted or bound in str(exc.value)
 
 
 def test_continuity_at_kinks():
@@ -345,8 +489,10 @@ _BENCHMARK_TS = [math.sqrt(0.05 + 0.05 / 9 + i * 0.05) for i in range(20)]
 @pytest.mark.parametrize("k", [2, 4])
 def test_universal_asymptotic_matches_per_d_loop(k):
     cfg = DensityConfig(k=k)
-    for T in _BENCHMARK_TS + [11.13, 23.71, 60.0, 95.5]:
-        assert universal_asymptotic(T, cfg) == _per_d_asymptotic(T, cfg), T
+    Ts = _BENCHMARK_TS + [11.13, 23.71, 60.0, 95.5]
+    want = [_per_d_asymptotic(T, cfg) for T in Ts]
+    assert universal_asymptotic(np.array(Ts), cfg).tolist() == want
+    assert [universal_asymptotic(T, cfg) for T in Ts] == want
 
 
 def test_universal_asymptotic_memory_and_threads():
@@ -370,12 +516,13 @@ def test_universal_asymptotic_memory_and_threads():
 
 
 def test_universal_asymptotic_peaks_at_one_block_per_cpu():
-    # each worker holds one 32 x 4000 float64 phase matrix, which fits L2
+    # each worker holds one 32 x 4000 float64 phase matrix, which fits L2,
+    # whichever T it takes
     cfg = DensityConfig(k=4)
     universal_asymptotic(3.0, cfg)              # constants and Q(d) cached
     tracemalloc.start()
     try:
-        universal_asymptotic(3.0, cfg)
+        universal_asymptotic(np.linspace(3.0, 9.0, 7), cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

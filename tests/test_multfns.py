@@ -63,6 +63,24 @@ def test_theta_rejects_bad_valuation():
 
 # a non-positive m or g is rejected before the 2-adic valuation, which
 # never ends on 0
+def _theta_sum(r, m, P):
+    """The defining sum of theta_r(m), one Kronecker symbol at a time."""
+    return sum(kronecker(a, m) * kronecker(a * r * r - 4 * P, m)
+               for a in range(m))
+
+
+@pytest.mark.parametrize("P", [5, 7, 11, 101])
+def test_theta_bruteforce_is_the_defining_sum(P):
+    # every m of verify-multfns and m sharing a factor with P; r = 0, r
+    # past m and r past 2^63 too, one call for all r of an m and one per r
+    rs = list(range(0, 13)) + [37, 1001, 3 ** 50]
+    for m in [m for m in range(1, 201) if m % 4 != 2 and m % 8 != 4]:
+        want = [_theta_sum(r, m, P) for r in rs]
+        assert theta_bruteforce(rs, m, P).tolist() == want, (m, P)
+        got = [theta_bruteforce(r, m, P) for r in rs]
+        assert got == want and all(type(v) is int for v in got), (m, P)
+
+
 @pytest.mark.parametrize("m", (0, -1, -8))
 def test_theta_rejects_nonpositive_modulus(m):
     with pytest.raises(ValueError, match="m must be positive"):
@@ -90,6 +108,36 @@ def test_phi_circ_matches_bruteforce():
                         continue
                     assert closed == phi_circ_bruteforce(r, d, g, P), \
                         (r, d, g, P)
+
+
+def _phi_circ_sum(r, d, g, P):
+    """The defining sum of phi^o_{r,d}(g), one a mod d^2 g at a time."""
+    total = 0
+    for t in remainder_set(r, d, P).residues:
+        for v in range(g):
+            a = t + v * d * d
+            s, rem = divmod(a * r * r - 4 * P, d * d)
+            assert rem == 0
+            total += kronecker(a, g) * kronecker(s, g)
+    return total
+
+
+def _smooth_gs(d, bound):
+    """Every g | d^infinity up to bound with v_2(g) not 1 or 2."""
+    return [g for g in range(1, bound + 1)
+            if math.gcd(g, d ** 10) == g and (g % 2 or g % 8 == 0)]
+
+
+@pytest.mark.parametrize("P", [7, 11, 13])
+def test_phi_circ_bruteforce_is_the_defining_sum(P):
+    # square and non-square g, admissible or not
+    for r in range(1, 9):
+        for d in range(1, 13):
+            if d % P == 0:
+                continue
+            for g in _smooth_gs(d, 300):
+                assert phi_circ_bruteforce(r, d, g, P) == \
+                    _phi_circ_sum(r, d, g, P), (r, d, g, P)
 
 
 @pytest.mark.parametrize("g", (0, -1, -9))
