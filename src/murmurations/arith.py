@@ -250,6 +250,13 @@ def shared_sieve() -> FactorSieve:
     return build_sieve(200_000)
 
 
+def sieve_covering(n: int) -> FactorSieve:
+    """A factor sieve of at least 2..n: the shared one when n fits it, else
+    build_sieve(n), which the caller alone holds."""
+    shared = shared_sieve()
+    return shared if n <= shared.limit else build_sieve(n)
+
+
 # ---------------------------------------------------------------------------
 # Square-free counting and summatory functions
 # ---------------------------------------------------------------------------

@@ -15,8 +15,11 @@ Two routes, cross-checked against each other:
     smoothed character sum that provably rounds to the exact integer,
     fast enough for discriminants ~ 10^11 (``gauss_h_certified``); its
     character (d0|n) is a product of quadratic-residue tables mod the odd
-    primes of d0 and a mod-8 table for its 2-part (``_chi_table``), and
-    its erfc a numpy polynomial (``_erfcx``).
+    primes of d0 and a mod-8 table for its 2-part (``_chi_table``), with
+    a prime of d0 too large to tabulate filled multiplicatively through a
+    smallest-prime-factor sieve (``_legendre_upto``).  Its summand is
+    1/(sqrt(pi) x) plus one q-free function R(x), read from a cubic table
+    built on the first certified call (``_kernel_table``).
 
 Conventions: h counts primitive reduced forms (so h(-3) = h(-4) = 1).
 H_1(-d) counts all reduced forms, primitive or not, weighting the classes
@@ -41,7 +44,7 @@ from fractions import Fraction
 
 import numpy as _np
 
-from .arith import kronecker, primes_upto, shared_sieve
+from .arith import kronecker, primes_upto, shared_sieve, sieve_covering
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,16 @@ def _decompose(d: int):
     return -4 * s, f, factors
 
 
+# The largest cutoff n0 the certified sum accepts.  Near it, at the prime
+# q = 19600000000003 (n0 = 16564057), one h took 1.5-1.7 s and raised the
+# peak RSS by 102 MB on a 2-core x86-64 VM: about 1e-7 s and 6 bytes per n
+# (the character, then its sieve).  It also keeps every x = n sqrt(pi/q)
+# inside the kernel table: n0 > sqrt(2q/pi) forces q < pi 2^47, where
+# _cutoff's u is at most log(q/(2 * 0.05 pi/sqrt(q))) < 51.8, and so
+# x <= sqrt(u) + 2 sqrt(pi/q) < 7.6.
+CERTIFIED_N0_MAX = 1 << 24
+
+
 def gauss_h_certified(q: int) -> int:
     """Exact h(-q) for a fundamental discriminant -q, via a smoothed
     character sum with a certified tail.
@@ -263,36 +276,54 @@ def gauss_h_certified(q: int) -> int:
 
         L(1, chi) = Sum_n chi(n) [ exp(-pi n^2/q)/n + (pi/sqrt(q)) erfc(n sqrt(pi/q)) ]
 
-    with tail beyond n0 at most (q/(pi n0^2)) exp(-pi n0^2/q).  The cutoff
-    is chosen so the resulting error in h is below 0.05, and the float is
-    rounded to the nearest integer; a rounding margin worse than 0.25
-    falls back to form counting.  The bound covers the truncated tail and
-    the error of the numpy erfc, at most n0 * 1e-15 in h (n0 ~ 1e6 at q ~ 1e11);
-    it does not cover float rounding in the partial sum, which the margin
-    absorbs.  A non-fundamental -q raises ValueError (see
-    hurwitz_H1_certified).
+    with tail beyond n0 at most (q/(pi n0^2)) exp(-pi n0^2/q).  In units
+    of h = sqrt(q) L(1, chi)/pi the summand is chi(n) K(n a), a = sqrt(pi/q),
+
+        K(x) = erfc(x) + exp(-x^2)/(sqrt(pi) x) = 1/(sqrt(pi) x) + R(x),
+
+    R read from a table (_kernel_table).  The cutoff is chosen so the tail
+    moves h by at most 0.05, and the float is rounded to the nearest
+    integer; a rounding margin worse than 0.25 falls back to form
+    counting.  The bound covers the truncated tail and the table's error,
+    at most n0 _KERNEL_EPS in h (4.2e-7 at n0 = CERTIFIED_N0_MAX); it does
+    not cover float rounding in x = n a or in the partial sum, which the
+    margin absorbs.  A non-fundamental -q raises ValueError (see
+    hurwitz_H1_certified), and so does an n0 above CERTIFIED_N0_MAX,
+    before anything is allocated.
     """
-    d0, f, factors = _decompose(q)
-    if (d0, f) != (-q, []):
-        raise ValueError(f"-{q} is not a fundamental discriminant")
-    if q == 3 or q == 4:
-        return 1
-    n0 = _cutoff(q)
-    chi = _chi_table(-q, n0, factors)
-    # only n with chi(n) != 0 contribute; blocks of 16384 stay in cache
-    support = _np.flatnonzero(chi) + 1
-    lval = 0.0
-    for i in range(0, len(support), 1 << 14):
-        n = support[i:i + (1 << 14)]
-        x = n * math.sqrt(math.pi / q)
-        # exp(-x^2)/n + (pi/sqrt(q)) erfc(x), erfc(x) = exp(-x^2) _erfcx(x)
-        terms = _np.exp(-x * x) * (1 / n + math.pi / math.sqrt(q) * _erfcx(x))
-        lval += float(_np.dot(chi[n - 1], terms))
-    happrox = math.sqrt(q) / math.pi * lval
+    happrox = _h_approx(q)
     h = round(happrox)
     if abs(happrox - h) > 0.25:
         h = gauss_h_bruteforce(q)
     return h
+
+
+def _h_approx(q: int) -> float:
+    """The unrounded h(-q) of gauss_h_certified, Sum_{n <= n0} chi(n) K(n a)
+    (1 at q = 3, 4).  Only n with chi(n) != 0 contribute; the character is
+    read in blocks of 2^16, so no index array of its length is built."""
+    d0, f, factors = _decompose(q)
+    if (d0, f) != (-q, []):
+        raise ValueError(f"-{q} is not a fundamental discriminant")
+    if q == 3 or q == 4:
+        return 1.0
+    n0 = _cutoff(q)
+    if n0 > CERTIFIED_N0_MAX:
+        raise ValueError(f"h(-{q}) needs a certified sum of {n0} terms, more "
+                         f"than CERTIFIED_N0_MAX = {CERTIFIED_N0_MAX}")
+    chi = _chi_table(-q, n0, factors)
+    scale = _KERNEL_STEPS * math.sqrt(math.pi / q)   # a in table steps
+    c = math.sqrt(q) / math.pi                        # 1/(sqrt(pi) n a) = c/n
+    total = 0.0
+    for i in range(0, n0, 1 << 16):
+        block = chi[i:i + (1 << 16)]
+        k = _np.flatnonzero(block)
+        n = k + float(i + 1)
+        y = _kernel_r(n * scale)
+        y += c / n
+        y *= block[k]
+        total += float(y.sum())
+    return total
 
 
 def _cutoff(q: int) -> int:
@@ -339,6 +370,66 @@ def _erfcx(x):
         y *= t
         y += c
     y /= 1 + 2 * x
+    return y
+
+
+# R(x) = erfc(x) - (1 - exp(-x^2))/(sqrt(pi) x) on [0, 8] in pieces of
+# width 2^-10; every argument of a certified sum lies below 8 (see
+# CERTIFIED_N0_MAX).
+_KERNEL_STEPS = 1 << 10
+_KERNEL_XMAX = 8
+_KERNEL_EPS = 2.5e-14
+
+
+@functools.cache
+def _kernel_table():
+    """Coefficients (c0, c1, c2, c3), 8192 float64 each, of the cubic
+    Hermite pieces of R, R(x) ~ c0 + t (c1 + t (c2 + t c3)) at x = (j + t) h
+    with h = 2^-10; built on the first certified call, not at import.
+
+    R is entire, with R(0) = 1 and
+
+        R'(x) = ((1 - exp(-x^2))/x^2 - 4 exp(-x^2))/sqrt(pi),
+
+    and each piece matches R and R' at both ends; the nodes take erfc as
+    exp(-x^2) _erfcx(x) and 1 - exp(-x^2) from expm1.  Every piece is
+    within _KERNEL_EPS = 2.5e-14 of R:
+
+      * remainder.  A cubic Hermite piece is within h^4/384 max|R^(4)|.
+        With H_n the Hermite polynomials, erfc^(4)(x) = (2/sqrt(pi)) H_3(x)
+        exp(-x^2), and (1 - exp(-x^2))/x = int_0^1 x exp(-s x^2) ds has
+        fourth derivative int_0^1 s^(3/2) H_5(sqrt(s) x) exp(-s x^2)/2 ds.
+        H_n(x) exp(-x^2) has its extrema at the zeros of H_{n+1}, where
+        |H_3| exp(-x^2) <= 3.904 and |H_5| exp(-x^2) <= 32.72, so
+        |R^(4)| <= (2 * 3.904 + 32.72/5)/sqrt(pi) < 8.1 and the remainder
+        is below 2^-40 * 8.1/384 < 2e-14;
+      * nodes.  A node value is within 1e-15 (_erfcx) plus 3e-16 (rounding)
+        of R.  A piece's value weights are nonnegative and sum to 1, and a
+        node slope enters times at most 4h/27 < 2^-12;
+      * coefficients and Horner's rule on t in [0, 1): |c0| <= 1 and the
+        others are below 0.01, so both round to under 1e-15.
+    """
+    h = 1.0 / _KERNEL_STEPS
+    x = _np.arange(1, _KERNEL_XMAX * _KERNEL_STEPS + 1) * h
+    ex = _np.exp(-x * x)
+    g = -_np.expm1(-x * x) / x                   # (1 - exp(-x^2))/x
+    root_pi = math.sqrt(math.pi)
+    r = _np.concatenate(([1.0], ex * _erfcx(x) - g / root_pi))
+    d = _np.concatenate(([-3.0], g / x - 4.0 * ex)) * (h / root_pi)  # h R'
+    r0, r1, d0, d1 = r[:-1], r[1:], d[:-1], d[1:]
+    return (r0, d0, 3.0 * (r1 - r0) - 2.0 * d0 - d1,
+            2.0 * (r0 - r1) + d0 + d1)
+
+
+def _kernel_r(s):
+    """R(x) from _kernel_table at s = x / h, a float array in [0, 8192)."""
+    c0, c1, c2, c3 = _kernel_table()
+    j = s.astype(_np.intp)
+    t = s - j                                    # piece j, t in [0, 1)
+    y = c3[j]
+    for c in (c2, c1, c0):
+        y *= t
+        y += c[j]
     return y
 
 
@@ -411,11 +502,35 @@ def _legendre_upto(n0: int, l: int):
     """(n|l) for n = 1..n0 and an odd prime l > n0, as an int8 array.
 
     At a prime p <= n0, (p|l) = (l*|p) by reciprocity: Kronecker's (l*|2)
-    at p = 2, and Euler's criterion (l* mod p)^((p-1)/2) mod p at odd p,
-    in int64 whatever the size of l.  Complete multiplicativity then makes
-    (n|l) = (-1)^k, k the number of non-residue prime powers dividing n.
+    at p = 2, and _odd_nonresidues at odd p.  Complete multiplicativity
+    then fills every n from its smallest prime factor s = spf(n),
+
+        (n|l) = (s|l) (n/s|l),
+
+    a block [m, e) at a time with e <= 2m, so that n/s <= n/2 < m is
+    already filled and s is n itself or below m.  The sieve is
+    sieve_covering(n0), the shared one when n0 fits it; a larger one is
+    built once the Euler step's arrays are freed.
     """
     ls = l if l % 4 == 1 else -l
+    chi = _np.ones(n0 + 1, dtype=_np.int8)       # chi[n] = (n|l), n = 0..n0
+    chi[_odd_nonresidues(ls, n0)] = -1
+    if n0 >= 2:
+        chi[2] = kronecker(ls, 2)
+    spf = _np.frombuffer(sieve_covering(n0).spf, dtype=_np.intc)
+    m = 4
+    while m <= n0:
+        end = min(2 * m, m + (1 << 16), n0 + 1)
+        s = spf[m:end]
+        chi[m:end] = chi[s] * chi[_np.arange(m, end) // s]
+        m = end
+    return chi[1:]
+
+
+def _odd_nonresidues(ls: int, n0: int):
+    """The odd primes p <= n0 with (ls|p) = -1, for ls prime to all of them:
+    Euler's criterion (ls mod p)^((p-1)/2) mod p, in int64 whatever the
+    size of ls."""
     p = primes_upto(n0)[1:]
     if abs(ls) < 2 ** 63:
         a = _np.int64(ls) % p
@@ -427,19 +542,4 @@ def _legendre_upto(n0: int, l: int):
         r = _np.where(e & 1, r * a % p, r)
         a = a * a % p
         e >>= 1
-    g = p[r != 1]
-    if n0 >= 2 and kronecker(ls, 2) == -1:
-        g = _np.concatenate(([2], g))
-    powers, base = [g], g
-    while len(g):
-        keep = g <= n0 // base
-        g, base = g[keep] * base[keep], base[keep]
-        powers.append(g)
-    g = _np.concatenate(powers)
-    # the multiples g, 2g, ..., of every such power g, as one running sum
-    # restarted at each g, counted once each
-    count = n0 // g
-    step = _np.repeat(g, count)
-    step[_np.cumsum(count)[:-1]] -= (g * count)[:-1]
-    k = _np.bincount(_np.cumsum(step), minlength=n0 + 1)[1:]
-    return (1 - 2 * (k & 1)).astype(_np.int8)
+    return p[r != 1]

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import euler_constant
+from .constants import euler_constant, hold_primes
 from .multfns import Q, nu, q_sqrt_weights
 from .parallel import cpu_map
 
@@ -76,6 +76,14 @@ class DensityConfig:
 def _sign(k: int) -> float:
     """(-1)^(k/2 - 1)."""
     return -1.0 if k % 4 == 0 else 1.0
+
+
+def _alpha_beta_gamma(pmax: int):
+    """The Euler products alpha, beta and gamma at pmax, read in one
+    hold_primes block: one sieve for the three, none once cached."""
+    with hold_primes():
+        return tuple(euler_constant(kind, pmax)
+                     for kind in ("alpha", "beta", "gamma"))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +242,7 @@ def murmuration_density(cfg: DensityConfig, y):
                          f"point-r terms, more than CHEBYSHEV_WORK_MAX = "
                          f"{CHEBYSHEV_WORK_MAX}")
     k = cfg.k
-    al, be, ga = (euler_constant(kind, cfg.pmax).value
-                  for kind in ("alpha", "beta", "gamma"))
+    al, be, ga = (ev.value for ev in _alpha_beta_gamma(cfg.pmax))
     total = np.zeros(y.shape)
     for r in range(1, rmax + 1):
         rad = np.maximum(4.0 * y - r * r, 0.0)
@@ -346,8 +353,7 @@ def murmuration_density_bessel(cfg: DensityConfig, y):
                          f"{work} point-d terms, more than "
                          f"BESSEL_WORK_MAX = {BESSEL_WORK_MAX}")
     order = cfg.k - 1
-    al, be, ga = (euler_constant(kind, cfg.pmax)
-                  for kind in ("alpha", "beta", "gamma"))
+    al, be, ga = _alpha_beta_gamma(cfg.pmax)
     inner = zip(*(a.tolist() for a in bessel_inner_sum(order, [
         4.0 * math.pi * math.sqrt(v) / d for v in flat
         for d in range(1, int(2.0 * math.sqrt(v)) + 1) if Q(d)])))
@@ -514,8 +520,7 @@ def dyadic_closed_form_constants() -> tuple[float, float, float]:
     """(a, b, c) of the k=2, c=2 dyadic closed form, assembled from the
     Euler-product constants at the density's prime cutoff:
     a = (4/9)(2^(3/2) - 1) beta, b = (2/3) gamma, c = (2/3) alpha."""
-    al, be, ga = (euler_constant(kind, DensityConfig.pmax).value
-                  for kind in ("alpha", "beta", "gamma"))
+    al, be, ga = (ev.value for ev in _alpha_beta_gamma(DensityConfig.pmax))
     return ((4.0 / 9.0) * (2.0 ** 1.5 - 1.0) * be,
             (2.0 / 3.0) * ga,
             (2.0 / 3.0) * al)

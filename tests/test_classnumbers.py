@@ -4,7 +4,10 @@ reconstruction, serialization, and the certified analytic route."""
 import ast
 import math
 import random
+import re
 import struct
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,9 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations import arith
+from murmurations import arith, classnumbers, traceformula
 from murmurations.arith import kronecker
-from murmurations.classnumbers import (_chi_table, _cutoff, _erfcx,
+from murmurations.classnumbers import (_KERNEL_EPS, _KERNEL_STEPS,
+                                       _KERNEL_XMAX, _chi_table, _cutoff,
+                                       _erfcx, _h_approx, _kernel_r,
                                        fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
                                        hurwitz_H1, hurwitz_H1_certified,
@@ -270,3 +275,123 @@ def test_chi_table_matches_kronecker(d0):
         got = _chi_table(d0, n0, factors)
         assert got.dtype == np.int8 and len(got) == n0
         assert got.tolist() == want, (d0, n0)
+
+
+def test_kernel_table_within_its_eps_of_mpmath():
+    """The tabulated K(x) = 1/(sqrt(pi) x) + R(x) against mpmath's
+    erfc(x) + exp(-x^2)/(sqrt(pi) x) at 10^5 random x in (0, 8): the
+    1/(sqrt(pi) x) term is common to both, so R is compared, within the
+    _KERNEL_EPS the certificate counts per term.  A linear table at this
+    step would miss by ~1e-7."""
+    x = np.random.default_rng(24).uniform(0.0, 8.0, 100_000)
+    x = x[x > 0.0]
+    got = _kernel_r(x * _KERNEL_STEPS)
+    with mpmath.workdps(30):
+        root_pi = mpmath.sqrt(mpmath.pi)
+        want = []
+        for v in map(mpmath.mpf, x.tolist()):
+            k = mpmath.erfc(v) + mpmath.exp(-v * v) / (root_pi * v)
+            want.append(float(k - 1 / (root_pi * v)))
+    err = np.abs(got - np.array(want))
+    assert err.max() <= _KERNEL_EPS, (err.max(), x[err.argmax()])
+
+
+def test_kernel_table_waits_for_the_first_certified_call():
+    code = ("import murmurations.cli, murmurations.classnumbers as c; "
+            "print(c._kernel_table.cache_info().currsize)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert (res.returncode, res.stdout) == (0, "0\n"), res.stderr
+
+
+def _desk_window_qs(monkeypatch):
+    """Every fundamental q > 4 whose h the k=2 interval average at
+    P = 1511, X = 3000, Y = 300 (the desk benchmark's window) reads."""
+    ds = []
+
+    def record(d, _h1=hurwitz_H1_certified):
+        ds.append(d)
+        return _h1(d)
+
+    monkeypatch.setattr(traceformula, "hurwitz_H1_certified", record)
+    traceformula.interval_average(3000, 300, 1511, 2)
+    return sorted({-fundamental_decomposition(d)[0] for d in ds
+                   if d % 4 in (0, 3)} - {3, 4})
+
+
+def test_certified_sums_round_within_a_thousandth(monkeypatch):
+    """The unrounded sum is within 1e-3 of h, not merely within the 0.25
+    margin, for the desk window and 200 random fundamental q in
+    [1e6, 1e8]: a kernel that ate the margin would fail here instead of
+    falling back to form counting unseen."""
+    qs = _desk_window_qs(monkeypatch)
+    assert len(qs) > 300
+    rng = random.Random(20231007)
+    n = 0
+    while n < 200:
+        q = rng.randrange(10 ** 6, 10 ** 8 + 1)
+        if q % 4 in (0, 3) and fundamental_decomposition(q) == (-q, 1):
+            qs.append(q)
+            n += 1
+    bad = [(q, happrox) for q in qs
+           if abs((happrox := _h_approx(q)) - gauss_h_certified(q)) > 1e-3]
+    assert not bad, bad
+
+
+def test_large_prime_character_matches_kronecker():
+    # a prime l > 4 n0 past the shared sieve: the character is filled
+    # from build_sieve(n0), one dyadic layer at a time
+    q = 120000000007
+    assert arith.is_prime(q) and q % 4 == 3
+    chi = _chi_table(-q, 1_200_000, [(q, 1)])
+    rng = random.Random(120000000007)
+    ns = [rng.randrange(1, 1_200_001) for _ in range(2000)]
+    assert [int(chi[n - 1]) for n in ns] == [kronecker(-q, n) for n in ns]
+
+
+def test_certified_refuses_a_cutoff_past_its_work_bound(monkeypatch):
+    """n0 above CERTIFIED_N0_MAX raises before the character is built."""
+    def unbuilt(*args):
+        raise AssertionError("the character was built")
+
+    monkeypatch.setattr(classnumbers, "CERTIFIED_N0_MAX", 1000)
+    q = 1000003
+    assert _cutoff(120004) <= 1000 < _cutoff(q)
+    assert gauss_h_certified(120004) == gauss_h_bruteforce(120004)
+    monkeypatch.setattr(classnumbers, "_chi_table", unbuilt)
+    with pytest.raises(ValueError, match=rf"^h\(-{q}\) needs a certified sum "
+                       rf"of {_cutoff(q)} terms, more than "
+                       rf"CERTIFIED_N0_MAX = 1000$"):
+        gauss_h_certified(q)
+
+
+def test_certified_arguments_stay_inside_the_table():
+    """Every x = n sqrt(pi/q), n <= n0, lies below 7.6 for each q whose n0
+    CERTIFIED_N0_MAX admits; past the bound n0 is refused."""
+    qmax = int(math.pi * 2 ** 47)
+    assert _cutoff(qmax) > classnumbers.CERTIFIED_N0_MAX
+    assert classnumbers.CERTIFIED_N0_MAX * _KERNEL_EPS <= 1e-3
+    rng = random.Random(47)
+    qs = list(range(5, 3000)) + [int(math.exp(rng.uniform(8.0, math.log(qmax))))
+                                 for _ in range(20000)] + [qmax]
+    worst = max(_cutoff(q) * math.sqrt(math.pi / q) for q in qs)
+    assert worst < 7.6 < _KERNEL_XMAX, worst
+
+
+@pytest.mark.parametrize("command", [
+    ["trace-average", "--X", "100", "--Y", "20", "--P", "101", "--k", "2"],
+    ["dyadic-average", "--X", "100", "--c", "2", "--P", "101", "--k", "2"],
+])
+def test_average_past_the_certified_bound_exits_2(monkeypatch, capsys,
+                                                  command):
+    from murmurations import cli
+    monkeypatch.setattr(classnumbers, "CERTIFIED_N0_MAX", 100)
+    hurwitz_H1_certified.cache_clear()
+    assert cli.main(command) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(rf"murmur {command[0]}: h\(-\d+\) needs a certified "
+                        r"sum of \d+ terms, more than CERTIFIED_N0_MAX = 100",
+                        lines[0]), lines[0]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from murmurations import constants
+from murmurations import constants, density
 from murmurations.arith import primes_upto
 from murmurations.constants import (_KINDS, ZETA2, ZETA_3_2, euler_constant,
                                     q_table, q_weighted_sums, qsqrt_product,
@@ -173,6 +173,29 @@ def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
     euler_constant("alpha", 1000)
     euler_constant("beta", 1000)
     assert sieves == [10 ** 6, 1000, 1000]
+
+
+@pytest.mark.parametrize("read", [
+    lambda: density.murmuration_density(density.DensityConfig(k=2), 0.5),
+    lambda: density.murmuration_density_bessel(density.DensityConfig(k=4),
+                                               0.5),
+    density.dyadic_closed_form_constants,
+], ids=["chebyshev", "bessel", "dyadic-constants"])
+def test_density_sieves_its_primes_once(monkeypatch, read):
+    # alpha, beta and gamma read one sieve in a hold_primes block; once
+    # they are cached a call sieves nothing, and no prime array is kept
+    sieves = []
+
+    def counted(n):
+        sieves.append(n)
+        return primes_upto(n)
+    monkeypatch.setattr(constants, "primes_upto", counted)
+    euler_constant.cache_clear()
+    read()
+    assert sieves == [10 ** 6]
+    read()
+    assert sieves == [10 ** 6]
+    assert len(constants._HELD_PRIMES) == 0 and constants._HOLDS == []
 
 
 def test_qcount_routes_agree():
