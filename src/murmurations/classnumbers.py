@@ -343,36 +343,6 @@ def _cutoff(q: int) -> int:
     return math.isqrt(int(q * u / math.pi)) + 2
 
 
-# (1 + 2x) exp(x^2) erfc(x) = Sum_k _ERFC_T[k] t^k, t = (x - 3.75)/(x + 3.75),
-# for every x >= 0 (t runs from -1 at x = 0 to 1 as x grows), to 4e-16
-# relative: the form of Shepherd and Laframboise (Math. Comp. 36, 1981),
-# here the degree-23 Chebyshev interpolant in t computed with mpmath at 40
-# digits and written out in powers of t.  No coefficient exceeds 1.3, so
-# Horner's rule loses nothing to cancellation.
-_ERFC_T = (
-    1.2375126308378275, -0.14024059858554697, 0.0035854154854790257,
-    0.0822767384901452, -0.10880393014244462, 0.09230432116037748,
-    -0.05869339857664934, 0.028362277418956406, -0.009746579683265262,
-    0.0017556258528952954, 0.000293714378044958, -0.0002901540805408417,
-    5.164652974177416e-05, 2.238423915508223e-05, -1.1438048033346894e-05,
-    -9.73559896736775e-07, 1.7419821586224816e-06, -5.7218230603224086e-08,
-    -2.4857126248016745e-07, 2.3263508708859124e-08, 3.197926671666804e-08,
-    -3.744210080962018e-09, -2.623107347133476e-09, 3.1114333809799254e-10,
-)
-
-
-def _erfcx(x):
-    """exp(x^2) erfc(x) for a float array x >= 0; exp(-x^2) _erfcx(x) is
-    erfc(x) within 1e-15 absolute."""
-    t = (x - 3.75) / (x + 3.75)
-    y = _np.full_like(t, _ERFC_T[-1])
-    for c in _ERFC_T[-2::-1]:
-        y *= t
-        y += c
-    y /= 1 + 2 * x
-    return y
-
-
 # R(x) = erfc(x) - (1 - exp(-x^2))/(sqrt(pi) x) on [0, 8] in pieces of
 # width 2^-10; every argument of a certified sum lies below 8 (see
 # CERTIFIED_N0_MAX).
@@ -391,8 +361,8 @@ def _kernel_table():
 
         R'(x) = ((1 - exp(-x^2))/x^2 - 4 exp(-x^2))/sqrt(pi),
 
-    and each piece matches R and R' at both ends; the nodes take erfc as
-    exp(-x^2) _erfcx(x) and 1 - exp(-x^2) from expm1.  Every piece is
+    and each piece matches R and R' at both ends; the nodes take erfc
+    from math.erfc and 1 - exp(-x^2) from expm1.  Every piece is
     within _KERNEL_EPS = 2.5e-14 of R:
 
       * remainder.  A cubic Hermite piece is within h^4/384 max|R^(4)|.
@@ -403,9 +373,9 @@ def _kernel_table():
         |H_3| exp(-x^2) <= 3.904 and |H_5| exp(-x^2) <= 32.72, so
         |R^(4)| <= (2 * 3.904 + 32.72/5)/sqrt(pi) < 8.1 and the remainder
         is below 2^-40 * 8.1/384 < 2e-14;
-      * nodes.  A node value is within 1e-15 (_erfcx) plus 3e-16 (rounding)
-        of R.  A piece's value weights are nonnegative and sum to 1, and a
-        node slope enters times at most 4h/27 < 2^-12;
+      * nodes.  A node value is within 1e-15 (math.erfc) plus 3e-16
+        (rounding) of R.  A piece's value weights are nonnegative and sum
+        to 1, and a node slope enters times at most 4h/27 < 2^-12;
       * coefficients and Horner's rule on t in [0, 1): |c0| <= 1 and the
         others are below 0.01, so both round to under 1e-15.
     """
@@ -414,7 +384,8 @@ def _kernel_table():
     ex = _np.exp(-x * x)
     g = -_np.expm1(-x * x) / x                   # (1 - exp(-x^2))/x
     root_pi = math.sqrt(math.pi)
-    r = _np.concatenate(([1.0], ex * _erfcx(x) - g / root_pi))
+    erfc = _np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+    r = _np.concatenate(([1.0], erfc - g / root_pi))
     d = _np.concatenate(([-3.0], g / x - 4.0 * ex)) * (h / root_pi)  # h R'
     r0, r1, d0, d1 = r[:-1], r[1:], d[:-1], d[1:]
     return (r0, d0, 3.0 * (r1 - r0) - 2.0 * d0 - d1,

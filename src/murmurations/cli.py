@@ -27,8 +27,7 @@ from .density import (DensityConfig, dyadic_closed_form_constants,
                       murmuration_density, murmuration_density_bessel,
                       universal_asymptotic)
 from .classnumbers import hurwitz_sieve, load_table, save_table
-from .constants import euler_constant, hold_primes, q_weighted_sums, \
-    qsqrt_product
+from .constants import euler_constant, q_weighted_sums, qsqrt_product
 from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, \
     smooth_square_gs, theta, theta_bruteforce
 from .signcheck import DEFAULT_OFFSETS, SignCheckConfig, grid_verify, \
@@ -213,13 +212,12 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
     The Q sums run first, while the heap holds only the imports, so their
     8 MB Q array does not land on top of what the Euler products leave
     behind.  Every value is pure: the order changes no printed byte.  The
-    sums and products read the primes to 10^6 in one hold_primes block, so
-    they share one sieve."""
-    with hold_primes():
-        qsum, qdsum = q_weighted_sums(10 ** 6)
-        evs = {kind: euler_constant(kind, PMAX) for kind in
-               ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")}
-        r3 = abs(qsqrt_product(10 ** 6) - 3.0907)
+    sums and products all read the primes to 10^6, so shared_primes' cache
+    sieves them once."""
+    qsum, qdsum = q_weighted_sums(10 ** 6)
+    evs = {kind: euler_constant(kind, PMAX) for kind in
+           ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")}
+    r3 = abs(qsqrt_product(10 ** 6) - 3.0907)
     rows: list[list[object]] = [
         ["constant", kind, ev.value, ev.pmax, ev.tail_bound]
         for kind, ev in evs.items()]

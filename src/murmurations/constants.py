@@ -12,8 +12,6 @@ of the exact per-prime factors.
 from __future__ import annotations
 
 import math
-import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain
@@ -85,39 +83,14 @@ ZETA_3_2 = 2.6123753486854886
 _BLOCK = 8192
 
 
-# The prime arrays some caller still holds, by pmax.
-_HELD_PRIMES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-# One list per open hold_primes() block: the arrays sieved inside it.
-_HOLDS: list[list[np.ndarray]] = []
-
-
+@lru_cache(maxsize=1)
 def shared_primes(pmax: int) -> np.ndarray:
-    """primes_upto(pmax), read-only.  While any caller holds the array,
-    every call with the same pmax returns it instead of sieving again;
-    once none does it is freed, so a process that holds none keeps no
-    prime array between calls."""
-    ps = _HELD_PRIMES.get(pmax)
-    if ps is None:
-        ps = primes_upto(pmax)
-        ps.flags.writeable = False
-        _HELD_PRIMES[pmax] = ps
-        if _HOLDS:
-            _HOLDS[-1].append(ps)
+    """primes_upto(pmax), read-only.  The last pmax's array is kept, so
+    callers that read one pmax several times in a row sieve it once; a
+    call with another pmax frees it."""
+    ps = primes_upto(pmax)
+    ps.flags.writeable = False
     return ps
-
-
-@contextmanager
-def hold_primes():
-    """Hold every array shared_primes sieves inside the block until the
-    block ends, so each pmax is sieved at most once there; a block whose
-    reads all hit euler_constant's cache sieves nothing.  verify-constants
-    reads its Q sums, seven Euler products and partial product in one
-    block, and each density form its alpha, beta and gamma."""
-    _HOLDS.append([])
-    try:
-        yield
-    finally:
-        _HOLDS.pop()
 
 
 @lru_cache(maxsize=None)

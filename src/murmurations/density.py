@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import euler_constant, hold_primes
+from .constants import euler_constant
 from .multfns import Q, nu, q_sqrt_weights
 from .parallel import cpu_map
 
@@ -79,11 +79,10 @@ def _sign(k: int) -> float:
 
 
 def _alpha_beta_gamma(pmax: int):
-    """The Euler products alpha, beta and gamma at pmax, read in one
-    hold_primes block: one sieve for the three, none once cached."""
-    with hold_primes():
-        return tuple(euler_constant(kind, pmax)
-                     for kind in ("alpha", "beta", "gamma"))
+    """The Euler products alpha, beta and gamma at pmax: the three read
+    one sieve through shared_primes' cache, and none once cached."""
+    return tuple(euler_constant(kind, pmax)
+                 for kind in ("alpha", "beta", "gamma"))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +336,9 @@ def murmuration_density_bessel(cfg: DensityConfig, y):
 
     The inner sums of every (y, d) go to one bessel_inner_sum call and
     each y adds its terms in d order, so every entry has the bits of a
-    one-y call.  A grid whose size times floor(2 sqrt(max y)) exceeds
-    BESSEL_WORK_MAX is refused before any quadrature.
+    one-y call, and Q(d) is computed once per d, not per (y, d).  A grid
+    whose size times floor(2 sqrt(max y)) exceeds BESSEL_WORK_MAX is
+    refused before any quadrature.
     """
     ys = np.asarray(y, dtype=np.float64)
     if (ys <= 0).any():
@@ -347,17 +347,25 @@ def murmuration_density_bessel(cfg: DensityConfig, y):
         raise ValueError(f"y must be finite and at most BESSEL_YMAX = "
                          f"{BESSEL_YMAX:g} for the Bessel form")
     flat = ys.ravel().tolist()
-    work = len(flat) * int(2.0 * math.sqrt(max(flat, default=0.0)))
+    dmax = int(2.0 * math.sqrt(max(flat, default=0.0)))
+    work = len(flat) * dmax
     if work > BESSEL_WORK_MAX:
         raise ValueError(f"{len(flat)} points up to y = {max(flat):g} make "
                          f"{work} point-d terms, more than "
                          f"BESSEL_WORK_MAX = {BESSEL_WORK_MAX}")
     order = cfg.k - 1
     al, be, ga = _alpha_beta_gamma(cfg.pmax)
+    qs = [Q(d) for d in range(1, dmax + 1)]
     inner = zip(*(a.tolist() for a in bessel_inner_sum(order, [
         4.0 * math.pi * math.sqrt(v) / d for v in flat
-        for d in range(1, int(2.0 * math.sqrt(v)) + 1) if Q(d)])))
+        for d in range(1, int(2.0 * math.sqrt(v)) + 1) if qs[d - 1]])))
 
+    q_total = be.value / al.value
+    q_total_err = q_total * (be.tail_bound / be.value
+                             + al.tail_bound / al.value)
+    qd_total = ga.value / (al.value * math.pi)
+    qd_total_err = qd_total * (ga.tail_bound / ga.value
+                               + al.tail_bound / al.value)
     values, bounds = [], []
     for v in flat:
         sy = math.sqrt(v)
@@ -365,24 +373,16 @@ def murmuration_density_bessel(cfg: DensityConfig, y):
         quad_err = 0.0
         s_q = Fraction(0)
         s_qd = Fraction(0)
-        for d in range(1, int(2.0 * sy) + 1):
-            q = Q(d)
+        for d, q in enumerate(qs[:int(2.0 * sy)], 1):
             s_q += q
             s_qd += q / d
             if q:
                 vd, ed = next(inner)
                 head += float(q) * vd
                 quad_err += float(q) * ed
-
-        q_total = be.value / al.value
-        q_total_err = q_total * (be.tail_bound / be.value
-                                 + al.tail_bound / al.value)
         tail = (q_total - float(s_q)) / order
         bracket = q_total_err / order
         if order == 1:
-            qd_total = ga.value / (al.value * math.pi)
-            qd_total_err = qd_total * (ga.tail_bound / ga.value
-                                       + al.tail_bound / al.value)
             tail -= math.pi * sy * (qd_total - float(s_qd))
             bracket += math.pi * sy * qd_total_err
 

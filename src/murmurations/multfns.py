@@ -153,11 +153,6 @@ def theta_bruteforce(r, m: int, P: int):
 # phi_circ
 # ---------------------------------------------------------------------------
 
-def _is_square(n: int) -> bool:
-    s = math.isqrt(n)
-    return s * s == n
-
-
 def _check_g(g: int, d: int) -> None:
     """Raise ValueError unless v_2(g) is not 1 or 2 and g | d^infinity."""
     _check_v2(g, "g")
@@ -258,7 +253,7 @@ def _phi_circ_ext(r: int, d: int, g: int) -> int:
     """
     if not is_admissible(r, d):
         return 0
-    if not _is_square(g):
+    if math.isqrt(g) ** 2 != g:
         return 0
     phi_g = shared_sieve().euler_phi(g)
     if d % 2 == 1 or (d % 4 == 2 and g % 2 == 1):

@@ -181,10 +181,6 @@ def _certified_budget(D: tuple[int, ...]) -> float:
 # Grid certification
 # ---------------------------------------------------------------------------
 
-def _offset_fraction(o: float) -> Fraction:
-    return Fraction(o).limit_denominator(10 ** 9)
-
-
 def _f_values(xs: list[float], w: np.ndarray) -> list[float]:
     """f_polylog(x, S)[0] for every x in xs, bit for bit, given the
     certificate's weights w = _s_weights(S): on cpu_map's pool each worker
@@ -262,7 +258,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     w = _s_weights(cfg.S)
     values: dict[float, float] = {}
     for o in cfg.offsets:
-        ofr = _offset_fraction(o)
+        ofr = Fraction(o).limit_denominator(10 ** 9)
         num, den = ofr.numerator, ofr.denominator
         lattices = []
         for d in cfg.D:
@@ -369,14 +365,15 @@ def second_peak_probe(dmax: int = 5000) -> SecondPeakReport:
     where any additional sign change would have to appear (the profile's
     second local peak sits near the integer + 0.6).  The discarded tail is
     bounded by 0.83 * (full bound - sum_{d <= dmax} Q(d) sqrt(d)), using
-    the sup of |f| away from its cusps."""
+    the sup of |f| away from its cusps.  The full bound is read before
+    q_table(dmax), so shared_primes' cache holds the small prime array,
+    not the 5.3 MB one to 10^7, while the FFT grid is built."""
+    full = min(qsqrt_sum_upper_bound(), REFERENCE_QSQRT_BOUND)
     q = q_table(dmax)
     d = np.arange(dmax + 1, dtype=np.float64)
     d[0] = 1.0
     w = q * np.sqrt(d)
-    inside = float(w.sum())
-    err = 0.83 * (min(qsqrt_sum_upper_bound(), REFERENCE_QSQRT_BOUND)
-                  - inside)
+    err = 0.83 * (full - float(w.sum()))
     ts = np.linspace(*PROBE_INTERVAL, PROBE_POINTS)
     dd = np.nonzero(q)[0]
     vals = np.zeros_like(ts)

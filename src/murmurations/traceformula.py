@@ -142,7 +142,15 @@ def _average_over(levels: list[int], P: int, k: int,
     return float(num), float(den)
 
 
+# The most integers an averaging window may hold: ten times the window
+# c = 2 at X = 10^5.  Larger windows are refused before any is enumerated.
+LEVEL_WINDOW_MAX = 10 ** 6
+
+
 def _square_free_levels(lo: int, hi: int, P: int) -> list[int]:
+    if hi - lo + 1 > LEVEL_WINDOW_MAX:
+        raise ValueError("the averaging window holds more than "
+                         f"LEVEL_WINDOW_MAX = {LEVEL_WINDOW_MAX} integers")
     sieve = shared_sieve()
     return [N for N in range(lo, hi + 1)
             if N % P and sieve.is_squarefree(N)]

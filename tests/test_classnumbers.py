@@ -21,7 +21,7 @@ from murmurations import arith, classnumbers, traceformula
 from murmurations.arith import kronecker
 from murmurations.classnumbers import (_KERNEL_EPS, _KERNEL_STEPS,
                                        _KERNEL_XMAX, _chi_table, _cutoff,
-                                       _erfcx, _h_approx, _kernel_r,
+                                       _h_approx, _kernel_r,
                                        fundamental_decomposition,
                                        gauss_h_bruteforce, gauss_h_certified,
                                        hurwitz_H1, hurwitz_H1_certified,
@@ -189,22 +189,16 @@ def test_cutoff_matches_sixty_iterations():
 
 
 def test_erfc_against_math_and_mpmath():
-    """erfc(x) = exp(-x^2) _erfcx(x), as gauss_h_certified computes it, on
-    a dense grid over (0, x_max], x_max the largest argument it evaluates
-    for q < 1e18: the 1e-15 absolute error the certificate counts, and
-    1e-14 relative."""
-    q = 10 ** 18 - 1
-    x_max = _cutoff(q) * math.sqrt(math.pi / q)
-    assert 7.5 < x_max < 8.0
-    x = np.linspace(0.0, x_max, 200001)[1:]
-    got = np.exp(-x * x) * _erfcx(x)
+    """math.erfc, which _kernel_table takes its node values from, at every
+    node x = j h, 1 <= j <= 8192, of the table: within the 1e-15 absolute
+    error its node bullet counts, and 1e-14 relative."""
+    x = np.arange(1, _KERNEL_XMAX * _KERNEL_STEPS + 1) / _KERNEL_STEPS
+    got = np.array([math.erfc(v) for v in x.tolist()])
     with mpmath.workdps(30):
-        exact = [float(mpmath.erfc(v)) for v in x[::50].tolist()]
-    for mine, ref in ((got, [math.erfc(v) for v in x]), (got[::50], exact)):
-        ref = np.array(ref)
-        err = np.abs(mine - ref)
-        assert err.max() <= 1e-15, err.max()
-        assert (err / ref).max() <= 1e-14, (err / ref).max()
+        exact = np.array([float(mpmath.erfc(v)) for v in x.tolist()])
+    err = np.abs(got - exact)
+    assert err.max() <= 1e-15, err.max()
+    assert (err / exact).max() <= 1e-14, (err / exact).max()
 
 
 def test_certified_needs_fundamental():

@@ -19,13 +19,14 @@ from murmurations.classnumbers import hurwitz_sieve, save_table
 from murmurations.signcheck import SecondPeakReport
 
 
-def run(args, tmp_path, env_extra=None):
+def run(args, tmp_path, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["MURMUR_CACHE_DIR"] = str(tmp_path / "cache")
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "murmurations.cli", *args],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=env,
+                         timeout=timeout)
 
 
 def test_usage_error_exit_2(tmp_path):
@@ -58,6 +59,23 @@ def test_overflowing_dyadic_window_exits_2(tmp_path):
     assert res.stdout == ""
     assert len(res.stderr.strip().splitlines()) == 1
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    "dyadic-average --X 3 --c 1e300 --P 5 --k 2",
+    "trace-average --X 1000000000000000000 --Y 100000000000000000 --P 5 "
+    "--k 2",
+], ids=["dyadic-c-1e300", "trace-Y-1e17"])
+def test_huge_window_exits_2(args, tmp_path):
+    # both windows would take longer than any run to enumerate; the level
+    # window bound refuses them before the first level
+    res = run(args.split(), tmp_path, timeout=30)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    [line] = res.stderr.strip().splitlines()
+    assert line == (f"murmur {args.split()[0]}: the averaging window holds "
+                    "more than LEVEL_WINDOW_MAX = 1000000 integers")
 
 
 @pytest.mark.parametrize("args", [
@@ -551,7 +569,7 @@ def test_cli_import_does_not_load_scipy():
 
 def test_certified_route_does_not_load_scipy(tmp_path):
     """A trace average with no table computes certified class numbers
-    (numpy erfc) and still never imports scipy."""
+    (math.erfc) and still never imports scipy."""
     code = ("import sys\n"
             "from murmurations import cli, classnumbers\n"
             "cli.main(['trace-average', '--X', '300', '--Y', '30', "

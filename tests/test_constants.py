@@ -14,7 +14,7 @@ from murmurations import constants, density
 from murmurations.arith import primes_upto
 from murmurations.constants import (_KINDS, ZETA2, ZETA_3_2, euler_constant,
                                     q_table, q_weighted_sums, qsqrt_product,
-                                    qsqrt_sum_upper_bound)
+                                    qsqrt_sum_upper_bound, shared_primes)
 from murmurations.multfns import Q
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
@@ -44,6 +44,7 @@ def test_euler_constant_memory_stays_at_sieve_peak(kind):
     sieve_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     euler_constant.cache_clear()
+    shared_primes.cache_clear()
     tracemalloc.start()
     euler_constant(kind, 10 ** 6)
     peak = tracemalloc.get_traced_memory()[1]
@@ -130,6 +131,7 @@ def test_q_weighted_sums_match_full_length_expressions(T):
 def test_q_weighted_sums_holds_one_array():
     # one (T + 1)-length array: q, divided by d in place a block at a time
     T = 10 ** 6
+    shared_primes.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -146,6 +148,7 @@ def test_q_table_sieves_before_it_allocates():
     # and copies would sit on top of it
     T = 10 ** 6
     primes = primes_upto(T).nbytes
+    shared_primes.cache_clear()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -158,7 +161,7 @@ def test_q_table_sieves_before_it_allocates():
 
 def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
     # the seven Euler products, the Q sums and the partial product read one
-    # sieve while the command holds it; afterwards no prime array is kept
+    # sieve through shared_primes' cache, which keeps one prime array
     from murmurations import cli
     sieves = []
 
@@ -167,12 +170,14 @@ def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
         return primes_upto(n)
     monkeypatch.setattr(constants, "primes_upto", counted)
     euler_constant.cache_clear()
+    shared_primes.cache_clear()
     assert cli.main(["verify-constants"]) == 0
     assert sieves == [10 ** 6]
-    assert len(constants._HELD_PRIMES) == 0
+    shared_primes(10 ** 6)
+    assert sieves == [10 ** 6]
     euler_constant("alpha", 1000)
     euler_constant("beta", 1000)
-    assert sieves == [10 ** 6, 1000, 1000]
+    assert sieves == [10 ** 6, 1000]
 
 
 @pytest.mark.parametrize("read", [
@@ -182,8 +187,8 @@ def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
     density.dyadic_closed_form_constants,
 ], ids=["chebyshev", "bessel", "dyadic-constants"])
 def test_density_sieves_its_primes_once(monkeypatch, read):
-    # alpha, beta and gamma read one sieve in a hold_primes block; once
-    # they are cached a call sieves nothing, and no prime array is kept
+    # alpha, beta and gamma read one sieve through shared_primes' cache;
+    # once they are cached a call sieves nothing, and one array is kept
     sieves = []
 
     def counted(n):
@@ -191,11 +196,40 @@ def test_density_sieves_its_primes_once(monkeypatch, read):
         return primes_upto(n)
     monkeypatch.setattr(constants, "primes_upto", counted)
     euler_constant.cache_clear()
+    shared_primes.cache_clear()
     read()
     assert sieves == [10 ** 6]
     read()
     assert sieves == [10 ** 6]
-    assert len(constants._HELD_PRIMES) == 0 and constants._HOLDS == []
+    shared_primes(10 ** 6)
+    assert sieves == [10 ** 6]
+
+
+def test_second_peak_probe_builds_its_grid_beside_the_small_primes(
+        monkeypatch):
+    # the probe reads the 10^7 bound before q_table(dmax), so while the FFT
+    # grid is built the cache holds the dmax primes, not the 5.3 MB array
+    # to 10^7; the cache keeps the array of the last sieve
+    from murmurations import signcheck
+    sieves, at_grid = [], []
+
+    def counted(n):
+        sieves.append(n)
+        return primes_upto(n)
+    f_grid = signcheck._f_grid
+
+    def grid():
+        at_grid.append(sieves[-1])
+        return f_grid()
+    monkeypatch.setattr(constants, "primes_upto", counted)
+    monkeypatch.setattr(signcheck, "_f_grid", grid)
+    qsqrt_sum_upper_bound.cache_clear()
+    shared_primes.cache_clear()
+    signcheck.second_peak_probe(dmax=500)
+    assert sieves == [10 ** 7, 500]
+    assert set(at_grid) == {500}
+    shared_primes(500)
+    assert sieves == [10 ** 7, 500]
 
 
 def test_qcount_routes_agree():
