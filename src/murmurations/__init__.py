@@ -22,4 +22,15 @@ Subpackage layout:
     cli           command-line entry point (`murmur`)
 """
 
+import os
+
+# OpenBLAS splits every dot longer than 10,000 elements (the sign check's
+# are 4.01e6 long) over its own threads, whose helper then busy-waits 2^28
+# cycles before it sleeps: about 0.13 s of CPU after each dot, so under
+# cpu_map's stream of dots it never sleeps and takes a core from the
+# workers.  The wait's minimum keeps the split, so no bit moves.  OpenBLAS
+# reads the variable only when numpy loads it, and no submodule has loaded
+# numpy yet; a value already set is kept, and child processes inherit it.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 __version__ = "0.1.0"

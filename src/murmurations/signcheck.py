@@ -32,6 +32,11 @@ DEFAULT_D = (1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 21, 22, 26, 30, 33, 35,
 
 DEFAULT_OFFSETS = (0.0, 0.5, 0.162)
 
+# grid_verify scans k + num/den, the offset's closest fraction with den at
+# most this; SignCheckConfig refuses an offset that fraction does not
+# round back to, so a certificate reports the grid it scanned.
+OFFSET_DENOMINATOR_MAX = 10 ** 9
+
 # Reported reference upper bound for sum Q(d) sqrt(d) (with the partial
 # product's footnote slack); the certificate recomputes its own bound and
 # uses whichever is larger.
@@ -65,8 +70,11 @@ def m_max_bounds() -> tuple[float, float]:
 class SignCheckConfig:
     """The settings of grid_verify: truncation set D, inner-series cutoff
     S (each f value carries the certified tail bound 2/sqrt(S)), and the
-    offsets o of the scanned grids k + o.  The bound on the full
-    sum_d Q(d) sqrt(d) is always qsqrt_sum_upper_bound()."""
+    offsets o of the scanned grids k + o, each in [0, 1) and equal to the
+    float of its closest fraction with denominator at most
+    OFFSET_DENOMINATOR_MAX (1e-10, whose fraction is 0, is refused).  The
+    bound on the full sum_d Q(d) sqrt(d) is always
+    qsqrt_sum_upper_bound()."""
 
     D: tuple[int, ...] = DEFAULT_D
     S: int = 4_010_000          # 2/sqrt(S) < 0.001
@@ -83,6 +91,11 @@ class SignCheckConfig:
         for o in self.offsets:
             if not 0.0 <= o < 1.0:
                 raise ValueError("offsets must lie in [0, 1)")
+            ofr = Fraction(o).limit_denominator(OFFSET_DENOMINATOR_MAX)
+            if float(ofr) != o:
+                raise ValueError(f"offset {o!r} is not a fraction with "
+                                 f"denominator <= {OFFSET_DENOMINATOR_MAX}: "
+                                 f"the grid would be k + {ofr}")
 
 
 @dataclass
@@ -246,7 +259,10 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     start unless OPENBLAS_NUM_THREADS says otherwise, and adds their
     partial sums.  f(0) at S = 4.01e6 differs by 10 ulp between two
     threads and one, so unlike density's outputs the certificate's last
-    bits depend on the machine.
+    bits depend on the machine.  The threads' idle wait does not:
+    `import murmurations` sets OPENBLAS_THREAD_TIMEOUT to its minimum
+    unless the user has set it (their value wins), and the wait only
+    decides how long an idle thread spins, not how a dot is split.
     """
     budget = _certified_budget(cfg.D)
     npts = _grid_points(cfg.D)
@@ -258,7 +274,7 @@ def grid_verify(cfg: SignCheckConfig) -> SignCheckCertificate:
     w = _s_weights(cfg.S)
     values: dict[float, float] = {}
     for o in cfg.offsets:
-        ofr = Fraction(o).limit_denominator(10 ** 9)
+        ofr = Fraction(o).limit_denominator(OFFSET_DENOMINATOR_MAX)
         num, den = ofr.numerator, ofr.denominator
         lattices = []
         for d in cfg.D:

@@ -78,6 +78,21 @@ def test_huge_window_exits_2(args, tmp_path):
                     "more than LEVEL_WINDOW_MAX = 1000000 integers")
 
 
+@pytest.mark.parametrize("offset, scanned", [("1e-10", "0"),
+                                             ("0.9999999999999999", "1")])
+def test_signcheck_offset_it_would_not_scan_exits_2(offset, scanned,
+                                                     tmp_path):
+    # grid_verify would certify k + scanned and report the offset as given
+    res = run(["signcheck", "--S", "5000", "--skip-probe", "--offsets",
+               offset], tmp_path)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    [line] = res.stderr.strip().splitlines()
+    assert line == (f"murmur signcheck: offset {offset} is not a fraction "
+                    "with denominator <= 1000000000: the grid would be "
+                    f"k + {scanned}")
+
+
 @pytest.mark.parametrize("args", [
     "dyadic-average --X 0 --c 2 --P 7 --k 2",
     "trace-average --X 10 --Y -5 --P 7 --k 2",

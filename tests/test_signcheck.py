@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from murmurations import signcheck
 from murmurations.multfns import q_sqrt_weights
-from murmurations.signcheck import (DEFAULT_D, PROBE_INTERVAL,
-                                    SignCheckConfig, _f_grid, _s_weights,
+from murmurations.signcheck import (DEFAULT_D, DEFAULT_OFFSETS,
+                                    PROBE_INTERVAL, SignCheckConfig,
+                                    _f_grid, _s_weights,
                                     error_budget, f_interpolated, f_polylog,
                                     grid_verify, m_max_bounds, period,
                                     second_peak_probe,
@@ -82,6 +83,13 @@ def test_config_validation():
         SignCheckConfig(offsets=(1.5,))
     with pytest.raises(ValueError):
         SignCheckConfig(S=0)
+    # the closest fraction with denominator <= 10^9 is 0 or 1, so the grid
+    # scanned would be k + 0 or k + 1 while the verdict reported o
+    for o in (1e-10, 0.9999999999999999):
+        with pytest.raises(ValueError, match="is not a fraction"):
+            SignCheckConfig(offsets=(0.0, o))
+    offsets = (*DEFAULT_OFFSETS, 0.3)
+    assert SignCheckConfig(offsets=offsets).offsets == offsets
 
 
 def test_inner_tail_accumulates():
