@@ -221,9 +221,6 @@ def load_table(path: str | os.PathLike) -> HurwitzTable:
         if len(header) != _HEADER.size:
             raise ValueError("corrupt table payload")
         version, dmin, dmax = _HEADER.unpack(header)
-        if version == 1:
-            raise ValueError("class-number table is version 1 (run-length "
-                             "format); rerun `murmur sieve-classnumbers`")
         if version != _VERSION:
             raise ValueError(f"unsupported table version {version}")
         payload = fh.read()
@@ -425,29 +422,27 @@ def hurwitz_H1_certified(d: int) -> Fraction:
 
 def _chi_table(d0: int, n0: int, factors: list[tuple[int, int]]):
     """chi_{d0}(n) = (d0|n) for n = 1..n0 as an int8 array of -1, 0, +1,
-    for a discriminant d0 (d0 = 0 or 1 mod 4) and the (p, e) pairs of |d0|.
+    for a fundamental discriminant d0 with |d0| < pi 2^47 (the bound
+    CERTIFIED_N0_MAX sets) and the (p, e) pairs of |d0|.
 
     A product of prime-discriminant characters (Cox, Primes of the form
     x^2 + ny^2, Sections 7 and 9): with l* = (-1)^((l-1)/2) l for each odd
-    prime l^e || d0 and u = d0 / prod l*^e, the 2-part (1, -4, 8, -8, or
-    another +-2^a when d0 is not fundamental),
+    prime l | d0, all to the first power, and u = d0 / prod l*, the 2-part
+    (1, -4, 8 or -8),
 
-        (d0|n) = (u|n) prod_l (l*|n)^e = (u|n) prod_l (n|l)^e,
+        (d0|n) = (u|n) prod_l (l*|n) = (u|n) prod_l (n|l),
 
     where (u|n) has period 8 in n and (n|l) is the quadratic-residue table
     mod l, tiled to n0.  A prime l > 4 n0 takes _legendre_upto instead of
     a table of l entries.
     """
-    assert d0 % 4 in (0, 1), d0
     chi = _np.ones(n0 + 1, dtype=_np.int8)  # chi[n], n = 0..n0
     u = d0
-    for l, e in factors:
+    for l, _ in factors:
         if l == 2:
             continue
-        u //= (l if l % 4 == 1 else -l) ** e
-        if e % 2 == 0:
-            chi[::l] = 0
-        elif l > 4 * n0:
+        u //= l if l % 4 == 1 else -l
+        if l > 4 * n0:
             chi[1:] *= _legendre_upto(n0, l)
         else:
             row = _np.full(l, -1, dtype=_np.int8)
@@ -499,14 +494,11 @@ def _legendre_upto(n0: int, l: int):
 
 
 def _odd_nonresidues(ls: int, n0: int):
-    """The odd primes p <= n0 with (ls|p) = -1, for ls prime to all of them:
-    Euler's criterion (ls mod p)^((p-1)/2) mod p, in int64 whatever the
-    size of ls."""
+    """The odd primes p <= n0 with (ls|p) = -1, for ls prime to all of them
+    and |ls| < 2^63: Euler's criterion (ls mod p)^((p-1)/2) mod p, in
+    int64."""
     p = primes_upto(n0)[1:]
-    if abs(ls) < 2 ** 63:
-        a = _np.int64(ls) % p
-    else:
-        a = _np.array([ls % v for v in p.tolist()], dtype=_np.int64)
+    a = _np.int64(ls) % p
     e = (p - 1) >> 1
     r = _np.ones_like(p)
     while e.any():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,18 +20,6 @@ from .arith import kronecker, shared_sieve
 # ---------------------------------------------------------------------------
 # Remainder sets mod d^2
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RemainderSet:
-    """Residues t mod d^2 with r^2 t = 4P (mod d^2) compatible with
-    square-free N; empty exactly when (r, d) is non-admissible."""
-
-    r: int
-    d: int
-    P: int
-    residues: tuple[int, ...]
-    admissible: bool
-
 
 def is_admissible(r: int, d: int) -> bool:
     """Whether the residue set mod d^2 is nonempty (P-independent)."""
@@ -66,8 +53,10 @@ def _residues(r: int, d: int, P: int) -> tuple[int, ...]:
     return tuple(sorted({t1, t2}))
 
 
-def remainder_set(r: int, d: int, P: int) -> RemainderSet:
-    """The residue set mod d^2, per the parity/gcd case analysis.
+def remainder_set(r: int, d: int, P: int) -> tuple[int, ...]:
+    """The residues t mod d^2 with r^2 t = 4P (mod d^2) compatible with
+    square-free N, per the parity/gcd case analysis; empty exactly when
+    (r, d) is non-admissible.
 
     Defined for any d once P is an odd prime not dividing d; the brute
     force phi_circ_bruteforce sums over these sets, also past d^2 <= 4P.
@@ -78,7 +67,7 @@ def remainder_set(r: int, d: int, P: int) -> RemainderSet:
         raise ValueError("P must not divide d")
     res = _residues(r, d, P)
     assert d == 1 or all(math.gcd(t, d) == 1 for t in res)
-    return RemainderSet(r=r, d=d, P=P, residues=res, admissible=bool(res))
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +173,13 @@ def phi_circ_bruteforce(r: int, d: int, g: int, P: int) -> int:
     over v is an int64 index sum over the Kronecker row of g, with a and
     s reduced mod g before v multiplies them."""
     _check_g(g, d)
-    rs = remainder_set(r, d, P)
-    if not rs.admissible:
-        return 0
+    residues = remainder_set(r, d, P)
     d2 = d * d
     r2 = r * r
     row = _kronecker_row(g)
     v = np.arange(g, dtype=np.int64)
     total = 0
-    for t in rs.residues:
+    for t in residues:
         s_t, rem = divmod(t * r2 - 4 * P, d2)
         assert rem == 0
         a_idx = (t % g + v * (d2 % g)) % g

@@ -95,8 +95,11 @@ def trace_TpWN(params: TraceParams, table: HurwitzTable | None = None
     """Trace of the composed Hecke/Fricke operator at level N, weight k.
 
     Exact rational (an integer, up to the formula's bounded correction)
-    for k = 2; float for k > 2, where the Chebyshev factor at an
-    irrational argument forecloses exactness.
+    for k = 2; float for k > 2.  The float is this function's choice, not
+    the trace's: U_{k-2} has the parity of k - 2, so at the irrational
+    argument r sqrt(N)/(2 sqrt P) it is a polynomial in r^2 N/(4P), and
+    the trace is rational at every k.  An exact k > 2 trace is deferred,
+    not foreclosed.
     """
     N, P, k = params.N, params.P, params.k
     if not shared_sieve().is_squarefree(N):

@@ -3,6 +3,7 @@ grid parsing, and a package that runs on numpy alone."""
 
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -120,60 +121,90 @@ def test_unallocatable_table_exits_2(monkeypatch, capsys):
                                 "Unable to allocate a table to 3000000000"]
 
 
-def test_verify_constants_bytes_pinned(tmp_path):
-    """The stdout digest the benchmark's reference records for every
-    density-verify seed: a change that moves a last bit fails here."""
-    res = run(["verify-constants"], tmp_path)
-    assert res.returncode == 0
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
-        "a81f429f8a4b5ea23a72bb0843830f6239e5fd93a26ea50456cb93c2a3f6dd1f"
-
-
 def test_verify_multfns_bytes_pinned(tmp_path):
-    """verify-multfns at its fixed ranges: exit 0 and the same bytes."""
+    """verify-multfns at its fixed ranges: exit 0 and the same bytes, pinned
+    here as perfbench/reference.json records none (it exited 1 then)."""
     res = run(["verify-multfns"], tmp_path)
     assert res.returncode == 0
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == \
         "3d0b2b7b905b762dcda5e0c5ea5f08deb01c3db4089f2b3e96b7cbc7b38a4456"
 
 
-@pytest.mark.parametrize("form, k, grid, digest", [
-    ("bessel", "2", "0.027777777777777776:4.027777777777778:0.25",
-     "493c05dff7bde96e85de981de2eed3012a7027ea7215f87f240112d4872341fc"),
-    ("bessel", "4", "0.027777777777777776:4.027777777777778:0.25",
-     "1c32c1d4b919ffdb42df8d41645f55aaa9b0bbe6169906f6321732b3d36e497e"),
-    ("chebyshev", "4", "0.0001111111111111111:4.000111111111111:0.001",
-     "94b6b33e42868e45e28ba14903856104ad5f547a7991470ce63414dc575277dd"),
-    ("asymptotic", "2", "0.05555555555555556:1.0055555555555555:0.05",
-     "f64d1ca824bd3fb56bc92a5e227691d55cf20be225d78121f2be891c8ee91c30"),
+def _perfbench():
+    """perfbench/run.py, read only; in sys.modules first (dataclasses)."""
+    if "perfbench_run" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", Path(__file__).parents[1] / "perfbench/run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["perfbench_run"] = module
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_run"]
+
+
+def _replay(workload, choice, tmp_path, only=None, direct=False):
+    """Run one input's steps (or the one labelled only) as run.py's run_step
+    does: a fresh interpreter in a directory holding its relative cache,
+    --phases after a child mode; direct drops --hurwitz-cache.  Returns the
+    stdout digests and those perfbench/reference.json records, by label."""
+    bench = _perfbench()
+    ref = json.loads(bench.REFERENCE.read_text())[workload][str(choice)]
+    (tmp_path / bench.CACHE).mkdir(parents=True, exist_ok=True)
+    phases = tmp_path / "phases.json"
+    out = {}
+    for step in bench.WORKLOADS[workload](choice).steps():
+        if only not in (None, step.label):
+            continue
+        args = step.args
+        if direct:
+            i = args.index("--hurwitz-cache")
+            args = args[:i] + args[i + 2:]
+        argv = ([sys.executable, "-m", "murmurations.cli", *args]
+                if step.mode == "cli" else
+                [sys.executable, bench.CHILD, step.mode, *args,
+                 "--phases", str(phases)])
+        res = subprocess.run(argv, cwd=tmp_path, env=bench.child_env(),
+                             capture_output=True, timeout=300)
+        assert res.returncode == 0, (step.label, res.stderr.decode())
+        if step.mode != "cli":
+            assert json.loads(phases.read_text())["failures"] == []
+        out[step.label] = bench.digest(res.stdout)
+    return out, (ref if only is None else {only: ref[only]})
+
+
+def test_verify_constants_bytes_pinned(tmp_path):
+    """The bytes recorded for every density-verify input: a change that
+    moves a last bit fails here, and a re-record changes one file."""
+    out, ref = _replay("density-verify", 0, tmp_path, "verify-constants")
+    assert out == ref
+
+
+@pytest.mark.parametrize("label", [
+    "bessel k=2", "bessel k=4", "chebyshev k=4", "asymptotic k=2",
 ], ids=["bessel-k2", "bessel-k4", "chebyshev-k4", "asymptotic-k2"])
-def test_density_bytes_pinned(form, k, grid, digest, tmp_path):
-    """The stdout digests the benchmark's reference records for the
-    density steps of its first input (each grid shifted by a ninth of a
-    step): a change that moves a last bit fails here."""
-    res = run(["density", "--form", form, "--k", k, "--y-grid", grid],
-              tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+def test_density_bytes_pinned(label, tmp_path):
+    """density-verify's first input: each grid shifted by a ninth of a step."""
+    out, ref = _replay("density-verify", 0, tmp_path, label)
+    assert out == ref
 
 
-@pytest.mark.parametrize("args, digest", [
-    ("trace-average --X 500 --Y 50 --P 101 --k 2",
-     "99ba58c347fd36cc218ac322ccd8289022620a092a9fb37a73b11792b84c750c"),
-    ("trace-average --X 500 --Y 50 --P 101 --k 4",
-     "dd24797ac5814b2168880ce5672585cf80175d2af2d7ea72a898552a0081d15e"),
-    ("dyadic-average --X 250 --c 2 --P 101 --k 2",
-     "6b630fa181c964f042f5ab57a511acfec2356529ab7b28989bb7a2ea7df9908b"),
-    ("dyadic-average --X 250 --c 2 --P 101 --k 4",
-     "f2c25f11a8cdaab3dbcc3c1b1e6b0023ea1ec6e8f8285e0de67e4e9a28105af0"),
-], ids=["trace-k2", "trace-k4", "dyadic-k2", "dyadic-k4"])
-def test_trace_bytes_pinned(args, digest, tmp_path):
-    """The stdout digests the benchmark's reference records for its
-    table-trace steps at P = 101, reproduced without a table: a change
-    that moves a last bit of a trace or of the density fails here."""
-    res = run(args.split(), tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert hashlib.sha256(res.stdout.encode()).hexdigest() == digest
+@pytest.mark.parametrize("label", [
+    "trace-average k=2", "trace-average k=4", "dyadic-average k=2",
+    "dyadic-average k=4"], ids=lambda s: s.replace("-average k=", "-k"))
+def test_trace_bytes_pinned(label, tmp_path):
+    """The table-trace averages at P = 101 without their table print the
+    bytes recorded for the table route."""
+    out, ref = _replay("table-trace", 101, tmp_path, label, direct=True)
+    assert out == ref
+
+
+@pytest.mark.parametrize("workload, choice", [("table-trace", 101), (
+    "desk-trace", 1471)], ids=["table-trace-101", "desk-trace-1471"])
+def test_benchmark_steps_match_reference(workload, choice, tmp_path):
+    """Every step in order in one cache (the averages read the sieve's table).
+    signcheck's recorded bits hold only for the BLAS thread count of their
+    recording; the --S 5000 tests below pin the certificate instead."""
+    out, ref = _replay(workload, choice, tmp_path)
+    assert out == ref
 
 
 def test_signcheck_bytes_pinned(tmp_path):
@@ -520,35 +551,6 @@ def test_signcheck_exit_needs_the_uncertified_probe_row(monkeypatch, capsys):
     grid, probe = capsys.readouterr().out.splitlines()[1:]
     assert grid.startswith("grid,0.0,-1,") and grid.endswith(",pass")
     assert probe == "second_peak,15014.6,-1,-0.01,5000,fail"
-
-
-def test_pinned_digests_match_benchmark_reference():
-    """Each digest literal above that pins a benchmark step equals that
-    step's entry in perfbench/reference.json (read, never written): the
-    verify-constants and four density steps of density-verify choice 0,
-    and the four table-trace averages at P = 101."""
-    ref = json.loads((Path(__file__).parents[1] / "perfbench"
-                      / "reference.json").read_text())
-    funcs = {f.name: f for f in ast.parse(Path(__file__).read_text()).body
-             if isinstance(f, ast.FunctionDef)}
-
-    def rows(name):
-        (dec,) = funcs[name].decorator_list
-        return ast.literal_eval(dec.args[1])
-
-    (digest,) = [n.value for n in ast.walk(
-        funcs["test_verify_constants_bytes_pinned"])
-        if isinstance(n, ast.Constant) and len(str(n.value)) == 64]
-    pins = {("density-verify", "0", "verify-constants"): digest}
-    for form, k, _, digest in rows("test_density_bytes_pinned"):
-        pins["density-verify", "0", f"{form} k={k}"] = digest
-    for args, digest in rows("test_trace_bytes_pinned"):
-        words = args.split()
-        P = words[words.index("--P") + 1]
-        pins["table-trace", P, f"{words[0]} k={words[-1]}"] = digest
-    assert len(pins) == 9
-    for (workload, choice, step), digest in pins.items():
-        assert ref[workload][choice][step] == digest, (workload, step)
 
 
 # -- start-up cost ----------------------------------------------------------

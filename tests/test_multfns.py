@@ -113,7 +113,7 @@ def test_phi_circ_matches_bruteforce():
 def _phi_circ_sum(r, d, g, P):
     """The defining sum of phi^o_{r,d}(g), one a mod d^2 g at a time."""
     total = 0
-    for t in remainder_set(r, d, P).residues:
+    for t in remainder_set(r, d, P):
         for v in range(g):
             a = t + v * d * d
             s, rem = divmod(a * r * r - 4 * P, d * d)
@@ -160,9 +160,9 @@ def test_remainder_sets_solve_congruence():
             for d in range(1, 25):
                 if d % P == 0:
                     continue
-                rs = remainder_set(r, d, P)
-                assert rs.admissible == is_admissible(r, d)
-                for t in rs.residues:
+                residues = remainder_set(r, d, P)
+                assert bool(residues) == is_admissible(r, d)
+                for t in residues:
                     assert (r * r * t - 4 * P) % (d * d) == 0
 
 
@@ -173,12 +173,12 @@ def test_two_remainders_have_opposite_s_parity():
             for d in range(1, 25):
                 if d % P == 0:
                     continue
-                rs = remainder_set(r, d, P)
-                if len(rs.residues) != 2:
+                residues = remainder_set(r, d, P)
+                if len(residues) != 2:
                     continue
                 seen += 1
                 s0, s1 = ((r * r * t - 4 * P) // (d * d) % 2
-                          for t in rs.residues)
+                          for t in residues)
                 assert s0 != s1
     assert seen > 50
 
@@ -189,7 +189,7 @@ def test_remainder_set_domain_checks():
     with pytest.raises(ValueError, match="must not divide"):
         remainder_set(1, 14, 7)
     # no d^2 <= 4P guard: the brute force sums past that regime
-    assert remainder_set(2, 12, 7).admissible == is_admissible(2, 12)
+    assert bool(remainder_set(2, 12, 7)) == is_admissible(2, 12)
 
 
 # -- Q, nu and the partial triple sum ---------------------------------------
