@@ -176,6 +176,12 @@ class FactorSieve:
             result -= result // p
         return result
 
+    def is_prime(self, n: int) -> bool:
+        """One spf read within the sieve range; is_prime past it."""
+        if n > self.limit:
+            return is_prime(n)
+        return n >= 2 and self.spf[n] == n
+
     def is_squarefree(self, n: int) -> bool:
         return all(e == 1 for _, e in self.factor(n))
 

@@ -241,31 +241,38 @@ def fundamental_decomposition(d: int) -> tuple[int, int]:
 
 
 def _decompose(d: int):
-    """fundamental_decomposition(d) with f as (p, e) pairs, and d's factors."""
+    """fundamental_decomposition(d) with f as (p, e) pairs, and the (p, e)
+    pairs of -d0, read off d's: d is the only number factored."""
     _check_disc(d)
     factors = shared_sieve().factor(d)
-    s = math.prod(p for p, e in factors if e % 2)
+    core = [(p, 1) for p, e in factors if e % 2]     # of d's square-free part s
+    s = math.prod(p for p, _ in core)
     f = [(p, e // 2) for p, e in factors if e > 1]
     if s % 4 == 3:
-        return -s, f, factors
+        return -s, f, core
     # s = 1, 2 mod 4: fundamental part is -4s, pulling one factor 2 out of f
     if not f or f[0][0] != 2:
         raise ValueError(f"-{d} is not a discriminant")  # unreachable for valid d
     f = [(p, e - (p == 2)) for p, e in f if (p, e) != (2, 1)]
-    return -4 * s, f, factors
+    if s % 2:
+        return -4 * s, f, [(2, 2)] + core
+    return -4 * s, f, [(2, 3)] + core[1:]                # core[0] = (2, 1)
 
 
-# The largest cutoff n0 the certified sum accepts.  Near it, at the prime
-# q = 19600000000003 (n0 = 16564057), one h took 1.5-1.7 s and raised the
-# peak RSS by 102 MB on a 2-core x86-64 VM: about 1e-7 s and 6 bytes per n
-# (the character, then its sieve).  It also keeps every x = n sqrt(pi/q)
-# inside the kernel table: n0 > sqrt(2q/pi) forces q < pi 2^47, where
-# _cutoff's u is at most log(q/(2 * 0.05 pi/sqrt(q))) < 51.8, and so
-# x <= sqrt(u) + 2 sqrt(pi/q) < 7.6.
+# The largest cutoff n0 the certified sum accepts.  At it, at the prime
+# q = 45985793568431 (n0 = 2^24), one h took 1.35-1.6 s and raised the peak
+# RSS by 103 MB on a 2-core x86-64 VM: about 1e-7 s and 6 bytes per n (the
+# character, then its sieve).  It also keeps every x = n sqrt(pi/q) inside
+# the kernel table.  _cutoff's u solves u e^u = sqrt(q)/(5e-4 pi), at least
+# 1102 > 5 e^5 for q >= 3, so u > 5 and n0 > sqrt(5q/pi): the bound admits
+# only q < pi 2^48/5 < 1.8e14 (about 4.6e13 in fact, where u ~ 19).  There
+# u e^u < 8.5e9, so u < 20.3 and x <= sqrt(u) + 2 sqrt(pi/q) < 4.51 + 2.05
+# < 7.6 (4.4 at most in fact).
 CERTIFIED_N0_MAX = 1 << 24
 
 
-def gauss_h_certified(q: int) -> int:
+def gauss_h_certified(q: int, factors: list[tuple[int, int]] | None = None
+                      ) -> int:
     """Exact h(-q) for a fundamental discriminant -q, via a smoothed
     character sum with a certified tail.
 
@@ -273,35 +280,44 @@ def gauss_h_certified(q: int) -> int:
 
         L(1, chi) = Sum_n chi(n) [ exp(-pi n^2/q)/n + (pi/sqrt(q)) erfc(n sqrt(pi/q)) ]
 
-    with tail beyond n0 at most (q/(pi n0^2)) exp(-pi n0^2/q).  In units
-    of h = sqrt(q) L(1, chi)/pi the summand is chi(n) K(n a), a = sqrt(pi/q),
+    In units of h = sqrt(q) L(1, chi)/pi the summand is chi(n) K(n a),
+    a = sqrt(pi/q),
 
         K(x) = erfc(x) + exp(-x^2)/(sqrt(pi) x) = 1/(sqrt(pi) x) + R(x),
 
-    R read from a table (_kernel_table).  The cutoff is chosen so the tail
-    moves h by at most 0.05, and the float is rounded to the nearest
+    R read from a table (_kernel_table).  K decreases, and
+    erfc(x) <= exp(-x^2)/(sqrt(pi) x) gives K(x) <= 2 exp(-x^2)/(sqrt(pi) x),
+    so with u = pi n0^2/q = (n0 a)^2 the tail beyond n0 is at most
+
+        Sum_{n > n0} K(n a) <= (1/a) Int_{n0 a}^oo K <= sqrt(q) e^{-u}/(pi u),
+
+    which _cutoff holds to 5e-4 in h.  The float is rounded to the nearest
     integer; a rounding margin worse than 0.25 falls back to form
     counting.  The bound covers the truncated tail and the table's error,
     at most n0 _KERNEL_EPS in h (4.2e-7 at n0 = CERTIFIED_N0_MAX); it does
     not cover float rounding in x = n a or in the partial sum, which the
     margin absorbs.  A non-fundamental -q raises ValueError (see
     hurwitz_H1_certified), and so does an n0 above CERTIFIED_N0_MAX,
-    before anything is allocated.
+    before anything is allocated.  factors, when given, are the (p, e)
+    pairs of q from a caller that has already found -q fundamental
+    (hurwitz_H1_certified reads them off d's), and q is not factored again.
     """
-    happrox = _h_approx(q)
+    happrox = _h_approx(q, factors)
     h = round(happrox)
     if abs(happrox - h) > 0.25:
         h = gauss_h_bruteforce(q)
     return h
 
 
-def _h_approx(q: int) -> float:
+def _h_approx(q: int, factors: list[tuple[int, int]] | None = None
+              ) -> float:
     """The unrounded h(-q) of gauss_h_certified, Sum_{n <= n0} chi(n) K(n a)
     (1 at q = 3, 4).  Only n with chi(n) != 0 contribute; the character is
     read in blocks of 2^16, so no index array of its length is built."""
-    d0, f, factors = _decompose(q)
-    if (d0, f) != (-q, []):
-        raise ValueError(f"-{q} is not a fundamental discriminant")
+    if factors is None:
+        d0, f, factors = _decompose(q)
+        if (d0, f) != (-q, []):
+            raise ValueError(f"-{q} is not a fundamental discriminant")
     if q == 3 or q == 4:
         return 1.0
     n0 = _cutoff(q)
@@ -324,17 +340,18 @@ def _h_approx(q: int) -> float:
 
 
 def _cutoff(q: int) -> int:
-    """The n0 of gauss_h_certified: (q/u) e^{-u} <= 0.05 pi/sqrt(q) with
-    u = pi n0^2/q, so the truncated tail moves h by at most 0.05.  The
-    iteration stops at its exact fixed point: every later step would
-    return the same u."""
-    target = 0.05 * math.pi / math.sqrt(q)
+    """The n0 of gauss_h_certified: e^{-u}/u <= 5e-4 pi/sqrt(q) with
+    u = pi n0^2/q, so the tail bound sqrt(q) e^{-u}/(pi u) holds the
+    truncated sum within 5e-4 of h.  u solves e^{-u}/u = 5e-4 pi/sqrt(q)
+    by u <- -log(u target); from u = 2 every step stays above 5, where
+    the map contracts by 1/u, and the iteration stops at its exact fixed
+    point, where every later step would return the same u, or after 60
+    steps when rounding leaves a two-value cycle one ulp wide.  n0 is the
+    least integer past sqrt(q u/pi), plus 1."""
+    target = 5e-4 * math.pi / math.sqrt(q)
     u = 2.0
     for _ in range(60):
-        prev, u = u, math.log(q / (u * target))
-        if u < 2.0:
-            u = 2.0
-            break
+        prev, u = u, -math.log(u * target)
         if u == prev:
             break
     return math.isqrt(int(q * u / math.pi)) + 2
@@ -412,17 +429,18 @@ def hurwitz_H1_certified(d: int) -> Fraction:
         raise ValueError("d must be positive")
     if (-d) % 4 in (2, 3):
         return Fraction(0)
-    d0, F, _ = _decompose(d)
+    d0, F, factors = _decompose(d)
     total = 1
     for p, e in F:
         total *= 1 + (p - kronecker(d0, p)) * (p ** e - 1) // (p - 1)
     # 2 / w(d0): w = 6 at d0 = -3, 4 at d0 = -4, else 2
-    return Fraction(gauss_h_certified(-d0) * total, {3: 3, 4: 2}.get(-d0, 1))
+    return Fraction(gauss_h_certified(-d0, factors) * total,
+                    {3: 3, 4: 2}.get(-d0, 1))
 
 
 def _chi_table(d0: int, n0: int, factors: list[tuple[int, int]]):
     """chi_{d0}(n) = (d0|n) for n = 1..n0 as an int8 array of -1, 0, +1,
-    for a fundamental discriminant d0 with |d0| < pi 2^47 (the bound
+    for a fundamental discriminant d0 with |d0| < pi 2^48/5 (the bound
     CERTIFIED_N0_MAX sets) and the (p, e) pairs of |d0|.
 
     A product of prime-discriminant characters (Cox, Primes of the form

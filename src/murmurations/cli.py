@@ -27,7 +27,7 @@ from .density import (DensityConfig, dyadic_closed_form_constants,
                       murmuration_density, murmuration_density_bessel,
                       universal_asymptotic)
 from .classnumbers import hurwitz_sieve, load_table, save_table
-from .constants import euler_constant, q_weighted_sums, qsqrt_product
+from .constants import euler_product, q_weighted_sums, qsqrt_product
 from .multfns import is_admissible, phi_circ, phi_circ_bruteforce, \
     smooth_square_gs, theta, theta_bruteforce
 from .signcheck import DEFAULT_OFFSETS, SignCheckConfig, grid_verify, \
@@ -213,9 +213,10 @@ def _cmd_verify_constants(args: argparse.Namespace) -> int:
     8 MB Q array does not land on top of what the Euler products leave
     behind.  Every value is pure: the order changes no printed byte.  The
     sums and products all read the primes to 10^6, so shared_primes' cache
-    sieves them once."""
+    sieves them once.  Every constant, alpha, beta and gamma included, is
+    the product itself (euler_product), not euler_constant's literals."""
     qsum, qdsum = q_weighted_sums(10 ** 6)
-    evs = {kind: euler_constant(kind, PMAX) for kind in
+    evs = {kind: euler_product(kind, PMAX) for kind in
            ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")}
     r3 = abs(qsqrt_product(10 ** 6) - 3.0907)
     rows: list[list[object]] = [

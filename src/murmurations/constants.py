@@ -5,8 +5,11 @@ for an explicit per-kind c, times a leading scalar.  Truncating at pmax
 leaves |log of the tail| <= sum_{n > pmax} 2c/n^2 <= 2c/pmax, which is
 surfaced as an absolute bound on the reported value.  The factors are
 evaluated in float64 on blocks of primes and their log1p terms summed
-with one compensated sum; see euler_constant for why that gives the bits
-of the exact per-prime factors.
+with one compensated sum; see euler_product for why that gives the bits
+of the exact per-prime factors.  alpha, beta and gamma at the default
+pmax = 10^6, which every process that evaluates M_k reads, are stored as
+float literals of those bits; test_euler_constant_matches_per_prime_generator
+recomputes them from the per-prime factors.
 """
 
 from __future__ import annotations
@@ -93,8 +96,7 @@ def shared_primes(pmax: int) -> np.ndarray:
     return ps
 
 
-@lru_cache(maxsize=None)
-def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
+def euler_product(kind: str, pmax: int) -> EulerProductValue:
     """Truncated Euler product for one of the named constants.
 
     kinds: alpha, beta, gamma (density prefactors), A (class-number average),
@@ -114,7 +116,7 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
         raise ValueError(f"unknown constant kind {kind!r}")
     if pmax < 2:
         raise ValueError("pmax must be >= 2")
-    scale, f, c = _KINDS[kind]
+    scale, f, _ = _KINDS[kind]
     ps = shared_primes(pmax)
     blocks = (ps[i:i + _BLOCK].astype(np.float64)
               for i in range(0, len(ps), _BLOCK))
@@ -124,8 +126,31 @@ def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
     value = scale * math.exp(logs)
     if kind == "Delta":
         value /= ZETA2
-    tail = abs(value) * math.expm1(2 * c / pmax)
+    return _with_tail(kind, value, pmax)
+
+
+def _with_tail(kind: str, value: float, pmax: int) -> EulerProductValue:
+    tail = abs(value) * math.expm1(2 * _KINDS[kind][2] / pmax)
     return EulerProductValue(value=value, pmax=pmax, tail_bound=tail)
+
+
+# euler_product(kind, 10^6).value for the density prefactors, bit for bit,
+# so that a process evaluating M_k does not sum their 3 x 78498 log1p terms
+# (16-23 ms).  test_euler_constant_matches_per_prime_generator pins each
+# literal to the per-prime product, and verify-constants recomputes them.
+_AT_DEFAULT_PMAX = {"alpha": 3.9654107925256237,
+                    "beta": 7.862553411182403,
+                    "gamma": 17.034753411524196}
+
+
+@lru_cache(maxsize=None)
+def euler_constant(kind: str, pmax: int = 10 ** 6) -> EulerProductValue:
+    """euler_product(kind, pmax), cached; alpha, beta and gamma at the
+    default pmax = 10^6 come from _AT_DEFAULT_PMAX, the product's own bits,
+    so no primes are sieved for them."""
+    if pmax == 10 ** 6 and kind in _AT_DEFAULT_PMAX:
+        return _with_tail(kind, _AT_DEFAULT_PMAX[kind], pmax)
+    return euler_product(kind, pmax)
 
 
 # ---------------------------------------------------------------------------

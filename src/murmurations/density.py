@@ -79,8 +79,11 @@ def _sign(k: int) -> float:
 
 
 def _alpha_beta_gamma(pmax: int):
-    """The Euler products alpha, beta and gamma at pmax: the three read
-    one sieve through shared_primes' cache, and none once cached."""
+    """The Euler products alpha, beta and gamma at pmax.  At the default
+    pmax = 10^6 they are constants._AT_DEFAULT_PMAX, float literals of the
+    product's bits that test_euler_constant_matches_per_prime_generator
+    pins, and nothing is sieved; another pmax reads one sieve through
+    shared_primes' cache, and none once cached."""
     return tuple(euler_constant(kind, pmax)
                  for kind in ("alpha", "beta", "gamma"))
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, shared_sieve
+from .arith import shared_sieve
 from .classnumbers import HurwitzTable, hurwitz_H1_certified
 from .density import DensityConfig, chebyshev_U, dyadic_density, \
     murmuration_density
@@ -48,7 +48,7 @@ class TraceParams:
             raise ValueError("N must be positive")
         if self.k < 2 or self.k % 2:
             raise ValueError("k must be even and >= 2")
-        if self.P <= 2 or not is_prime(self.P):
+        if self.P <= 2 or not shared_sieve().is_prime(self.P):
             raise ValueError("P must be an odd prime")
         if self.N % self.P == 0:
             raise ValueError("P must not divide N")

@@ -77,6 +77,17 @@ def test_sieve_primes_match_spf_fixed_points(limit):
     assert sieve.primes() == want
 
 
+def test_sieve_is_prime_matches_miller_rabin(monkeypatch):
+    # within the range one spf read answers, past it Miller-Rabin does
+    sieve = build_sieve(1000)
+    want = [is_prime(n) for n in range(-5, 1300)]
+    calls = []
+    monkeypatch.setattr(arith, "is_prime",
+                        lambda n: calls.append(n) or is_prime(n))
+    assert [sieve.is_prime(n) for n in range(-5, 1300)] == want
+    assert calls == list(range(1001, 1300))
+
+
 def test_build_sieve_holds_one_table():
     # the 32-bit table is the only full-length array; a 64-bit table, or
     # a twin that is then copied into it, would double the peak

@@ -173,19 +173,54 @@ def test_certified_matches_bruteforce_random_fundamental():
 def test_cutoff_matches_sixty_iterations():
     """Stopping at the fixed point gives the n0 of all 60 iterations."""
     def sixty(q):
-        target = 0.05 * math.pi / math.sqrt(q)
+        target = 5e-4 * math.pi / math.sqrt(q)
         u = 2.0
         for _ in range(60):
-            u = math.log(q / (u * target))
-            if u < 2.0:
-                u = 2.0
-                break
+            u = -math.log(u * target)
         return math.isqrt(int(q * u / math.pi)) + 2
 
     rng = random.Random(13)
     qs = list(range(3, 20001)) + [rng.randrange(3, 10 ** 12)
                                    for _ in range(20000)]
     assert [q for q in qs if _cutoff(q) != sixty(q)] == []
+
+
+# q from the smallest discriminants to 19622455, in the desk window, and
+# 120000000007, the scale of 4PN in an average at X = 1e5, P ~ 3e5.
+TAIL_QS = (3, 4, 7, 8, 163, 1000, 10 ** 4, 120004, 1000003, 19622455,
+           10 ** 8 + 7, 10 ** 9 + 7, 10 ** 10 + 19, 120000000007)
+
+
+def _tail_bound(q, n0):
+    """The tail bound sqrt(q) e^{-u}/(pi u), u = pi n0^2/q, that
+    gauss_h_certified states for Sum_{n > n0} K(n sqrt(pi/q))."""
+    u = math.pi * n0 * n0 / q
+    return math.sqrt(q) * math.exp(-u) / (math.pi * u)
+
+
+@pytest.mark.parametrize("q", TAIL_QS)
+def test_cutoff_holds_the_stated_tail_bound(q):
+    """At _cutoff's n0 the stated bound is at most 5e-4, and the float64
+    tail Sum_{n > n0} K(n a), K(x) = erfc(x) + exp(-x^2)/(sqrt(pi) x) from
+    math.erfc, stays below it: summed to the first n_end with x past
+    sqrt(u) + 3, plus the same bound for the rest."""
+    n0 = _cutoff(q)
+    bound = _tail_bound(q, n0)
+    assert bound <= 5e-4
+    a = math.sqrt(math.pi / q)
+    n_end = int((n0 * a + 3) / a) + 1
+    x = np.arange(n0 + 1, n_end + 1) * a
+    k = (np.fromiter(map(math.erfc, x.tolist()), float, x.size)
+         + np.exp(-x * x) / (math.sqrt(math.pi) * x))
+    tail = float(k.sum()) + _tail_bound(q, n_end)
+    assert tail < bound, (tail, bound)
+
+
+@pytest.mark.parametrize("q", TAIL_QS)
+def test_cutoff_is_minimal_up_to_its_margin(q):
+    """n0 - 3, which lies below sqrt(q u/pi) for _cutoff's u, misses the
+    5e-4 bound: n0 is at most 2 past the least cutoff the bound admits."""
+    assert _tail_bound(q, _cutoff(q) - 3) > 5e-4
 
 
 def test_erfc_against_math_and_mpmath():
@@ -213,9 +248,9 @@ def test_certified_needs_fundamental():
 
 
 def test_certified_factors_each_number_once(monkeypatch):
-    """One uncached H_1(-d) with conductor F > 1 factors d and the
-    fundamental q = -d0 once each: F's factors come from d's, and the
-    character table reuses q's from the fundamentality check."""
+    """One uncached H_1(-d) with conductor F > 1 factors d alone: F's
+    factors and those of the fundamental q = -d0, which the character
+    table reads, both come from d's."""
     d = 25 * 47                            # -1175 = -47 * 5^2
     want = hurwitz_H1(d)
     sieve = arith.shared_sieve()
@@ -227,7 +262,7 @@ def test_certified_factors_each_number_once(monkeypatch):
 
     monkeypatch.setattr(sieve, "factor", factor)
     assert hurwitz_H1_certified.__wrapped__(d) == want
-    assert factored == [d, 47]
+    assert factored == [d]
 
 
 def test_only_classnumbers_counts_class_numbers():

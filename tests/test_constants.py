@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from murmurations import constants, density
 from murmurations.arith import primes_upto
 from murmurations.constants import (_KINDS, ZETA2, ZETA_3_2, euler_constant,
-                                    q_table, q_weighted_sums, qsqrt_product,
-                                    qsqrt_sum_upper_bound, shared_primes)
+                                    euler_product, q_table, q_weighted_sums,
+                                    qsqrt_product, qsqrt_sum_upper_bound,
+                                    shared_primes)
 from murmurations.multfns import Q
 
 KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
@@ -25,7 +26,8 @@ KINDS = ("alpha", "beta", "gamma", "A", "B", "dimC", "Delta")
 def test_euler_constant_matches_per_prime_generator(pmax):
     """The float64 blocks give the same bits as the exact oracle: calling
     f(int(p)) on each prime, a correctly rounded quotient of Python ints,
-    and summing the log1p terms in one fsum."""
+    and summing the log1p terms in one fsum.  At pmax = 10^6 this pins
+    euler_constant's alpha, beta and gamma literals too."""
     for kind in KINDS:
         scale, f, _ = _KINDS[kind]
         logs = math.fsum(math.log1p(f(int(p))) for p in primes_upto(pmax))
@@ -33,20 +35,21 @@ def test_euler_constant_matches_per_prime_generator(pmax):
         if kind == "Delta":
             value /= ZETA2
         assert euler_constant(kind, pmax).value == value, kind
+        assert euler_product(kind, pmax).value == value, kind
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_euler_constant_memory_stays_at_sieve_peak(kind):
-    """At pmax = 1e6 the blocks peak at most 0.1 MB above the sieve alone;
-    a list of all the factors or their logs would add about 3 MB."""
+    """At pmax = 1e6 the product's blocks peak at most 0.1 MB above the
+    sieve alone; a list of all the factors or their logs would add about
+    3 MB."""
     tracemalloc.start()
     primes_upto(10 ** 6)
     sieve_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    euler_constant.cache_clear()
     shared_primes.cache_clear()
     tracemalloc.start()
-    euler_constant(kind, 10 ** 6)
+    euler_product(kind, 10 ** 6)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak <= sieve_peak + 100_000
@@ -187,8 +190,7 @@ def test_verify_constants_sieves_its_primes_once(monkeypatch, capsys):
     density.dyadic_closed_form_constants,
 ], ids=["chebyshev", "bessel", "dyadic-constants"])
 def test_density_sieves_its_primes_once(monkeypatch, read):
-    # alpha, beta and gamma read one sieve through shared_primes' cache;
-    # once they are cached a call sieves nothing, and one array is kept
+    # at the default pmax alpha, beta and gamma are literals: no sieve
     sieves = []
 
     def counted(n):
@@ -198,11 +200,26 @@ def test_density_sieves_its_primes_once(monkeypatch, read):
     euler_constant.cache_clear()
     shared_primes.cache_clear()
     read()
-    assert sieves == [10 ** 6]
     read()
-    assert sieves == [10 ** 6]
-    shared_primes(10 ** 6)
-    assert sieves == [10 ** 6]
+    assert sieves == []
+
+
+def test_density_off_the_default_pmax_sieves_once(monkeypatch):
+    # alpha, beta and gamma at another pmax read one sieve through
+    # shared_primes' cache; once they are cached a call sieves nothing
+    sieves = []
+
+    def counted(n):
+        sieves.append(n)
+        return primes_upto(n)
+    monkeypatch.setattr(constants, "primes_upto", counted)
+    euler_constant.cache_clear()
+    shared_primes.cache_clear()
+    cfg = density.DensityConfig(k=2, pmax=1000)
+    density.murmuration_density(cfg, 0.5)
+    assert sieves == [1000]
+    density.murmuration_density(cfg, 0.5)
+    assert sieves == [1000]
 
 
 def test_second_peak_probe_builds_its_grid_beside_the_small_primes(

@@ -32,6 +32,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         _params(6, 9, 2)          # composite P
     with pytest.raises(ValueError):
+        _params(6, 200_001, 2)    # composite P past the shared sieve
+    assert _params(6, 200_003, 2).P == 200_003
+    with pytest.raises(ValueError):
         _params(10, 5, 2)         # P | N
     with pytest.raises(ValueError):
         _params(0, 5, 2)
@@ -126,7 +129,7 @@ def test_one_certified_class_number_per_fundamental_discriminant(
     calls = []
     real = classnumbers.gauss_h_certified
     monkeypatch.setattr(classnumbers, "gauss_h_certified",
-                        lambda q: calls.append(q) or real(q))
+                        lambda q, factors: calls.append(q) or real(q, factors))
     classnumbers.hurwitz_H1_certified.cache_clear()
     trace_TpWN(_params(N, P, 2))
     ds = [N * (4 * P - r * r * N) for r in range(math.isqrt(4 * P // N) + 1)]
